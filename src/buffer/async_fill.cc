@@ -8,13 +8,19 @@ void FillFuture::Complete(Status status, HoleFillList fills) {
     std::lock_guard<std::mutex> lock(mu_);
     if (done_) return;  // first writer wins
     done_ = true;
-    status_ = std::move(status);
-    fills_ = std::move(fills);
+    status_ = status;
     cb = std::move(callback_);
     callback_ = nullptr;
+    // The callback runs after waiters wake, and a waiter moves fills_ out:
+    // the callback gets the arguments, which no waiter can reach.
+    if (cb) {
+      fills_ = fills;
+    } else {
+      fills_ = std::move(fills);
+    }
   }
   cv_.notify_all();
-  if (cb) cb(status_, fills_);
+  if (cb) cb(status, fills);
 }
 
 Status FillFuture::Wait(HoleFillList* out) {
@@ -30,16 +36,20 @@ bool FillFuture::Ready() const {
 }
 
 void FillFuture::OnComplete(Callback cb) {
+  Status status;
+  HoleFillList fills;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!done_) {
       callback_ = std::move(cb);
       return;
     }
+    // Already complete: fire on the caller's thread, with a copy taken
+    // under the lock — a concurrent Wait() may move fills_ out.
+    status = status_;
+    fills = fills_;
   }
-  // Already complete: fire on the caller's thread. fills_ stays readable —
-  // only Wait() moves it out.
-  cb(status_, fills_);
+  cb(status, fills);
 }
 
 std::shared_ptr<FillFuture> FillFuture::Resolved(Status status,

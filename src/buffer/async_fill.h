@@ -52,7 +52,9 @@ class FillFuture {
   using Callback = std::function<void(const Status&, const HoleFillList&)>;
 
   /// Completes the future with `status` and `fills`, wakes all waiters and
-  /// fires any registered callback inline. Calls after the first are no-ops.
+  /// fires any registered callback inline. The callback reads a copy of its
+  /// own, so a waiter moving the list out cannot race it. Calls after the
+  /// first are no-ops.
   void Complete(Status status, HoleFillList fills);
 
   /// Blocks until completed; returns the status. `out` (optional) receives
@@ -65,8 +67,8 @@ class FillFuture {
 
   /// Registers a callback fired on completion (inline, on the completing
   /// thread). If the future is already complete, fires immediately on the
-  /// calling thread. At most one callback; later registrations replace an
-  /// unfired one.
+  /// calling thread — with an empty list if a Wait() already took it. At
+  /// most one callback; later registrations replace an unfired one.
   void OnComplete(Callback cb);
 
   /// Convenience: a future already completed with `status`/`fills` — the

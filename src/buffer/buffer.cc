@@ -4,6 +4,7 @@
 #include <atomic>
 #include <utility>
 
+#include "core/block_hook.h"
 #include "core/check.h"
 
 namespace mix::buffer {
@@ -271,6 +272,7 @@ Status BufferComponent::FillHole(BNode* hole, bool background) {
   const std::string hole_id = hole->hole_id;
   Status s = RunWithRetry(background, [&]() {
     FragmentList fragments;
+    NotifyBeforeBlock();
     Status st = wrapper_->TryFill(hole_id, &fragments);
     // Every attempt crosses the link: request plus a (possibly tiny error)
     // response. Recovery cost is visible in the channel accounting.
@@ -334,6 +336,7 @@ Status BufferComponent::FillHolesBatch(const std::vector<BNode*>& holes,
     // shim this IS TryFillMany inline (deterministic immediate
     // completion); over a native-async transport the exchange goes through
     // the same dispatch machinery as readahead flights.
+    NotifyBeforeBlock();
     Status st = wrapper_->BeginFillMany(ids, budget)->Wait(&fills);
     if (channel != nullptr) {
       channel->SendBatch(request_bytes, static_cast<int64_t>(ids.size()));
@@ -552,6 +555,9 @@ bool BufferComponent::ConsumeInflight(BNode* hole) {
     return false;
   }
   HoleFillList fills;
+  // Called even for a flight that has landed: MaybeIssueReadahead below
+  // submits more, and over a synchronous wrapper a submit is an exchange.
+  NotifyBeforeBlock();
   Status s = flight->Wait(&fills);
   if (s.ok()) s = ValidateBatch({hole->hole_id}, fills);
   if (!s.ok()) {
@@ -617,6 +623,7 @@ Status BufferComponent::EnsureRoot() {
   Status s = Status::OK();
   if (!cached_root) s = RunWithRetry(/*background=*/false, [&]() {
     root_id.clear();
+    NotifyBeforeBlock();
     Status st = wrapper_->TryGetRoot(uri_, &root_id);
     // get_root is one small request/response exchange.
     Charge(16 + static_cast<int64_t>(uri_.size()),

@@ -8,11 +8,13 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
 #include <map>
 #include <mutex>
 #include <unordered_map>
 
+#include "core/block_hook.h"
 #include "service/wire.h"
 
 namespace mix::net::tcp {
@@ -65,13 +67,14 @@ struct TcpServer::Counters {
 ///
 /// Locking discipline (what keeps the reactor TSan-clean):
 ///   * in_buf / in_off / next_dispatch_seq are touched only by the owning
-///     event loop thread.
+///     loop's current leader.
 ///   * Everything the completion path needs — fd validity, the write queue,
 ///     the in-order release machinery, in_flight, epoll arming state — is
 ///     guarded by `mu`.
-///   * The fd is *closed* only by the owning loop (under mu); workers use
-///     it only under mu after checking `closed`, so close/send can never
-///     race and a recycled descriptor can never be written.
+///   * The fd is *closed* only by the owning loop's leader (under mu);
+///     completing threads use it only under mu after checking `closed`, so
+///     close/send can never race and a recycled descriptor can never be
+///     written.
 ///   * Loop resources (epoll fd, wake fd) are only touched under mu with
 ///     `closed == false`; the loop cannot exit while such a section runs
 ///     (its own close needs mu), so those fds are provably still open.
@@ -84,7 +87,7 @@ struct TcpServer::Conn : std::enable_shared_from_this<TcpServer::Conn> {
   size_t write_high_water = 0;
   size_t max_pipeline = 0;
 
-  // Owning-loop-thread only.
+  // Owning loop's leader only.
   std::string in_buf;
   size_t in_off = 0;
   uint64_t next_dispatch_seq = 0;
@@ -162,28 +165,49 @@ struct TcpServer::Conn : std::enable_shared_from_this<TcpServer::Conn> {
   }
 };
 
-/// One reactor thread: an epoll instance, an eventfd for cross-thread
-/// wakeups, and the connections it owns. `conns` is touched only by the
-/// loop thread; adoption goes through the mutex-guarded pending queue.
+/// One reactor: an epoll instance, an eventfd for cross-thread wakeups, the
+/// connections it owns, and its two threads. The fields from `conns` down
+/// to `listener_registered` belong to the loop's current leader;
+/// leadership passes under `lead_mu`, which orders every access. Adoption
+/// goes through the mutex-guarded pending queue.
 struct TcpServer::Loop {
   int index = 0;
   int epoll_fd = -1;
   int wake_fd = -1;
-  std::thread thread;
-
-  std::mutex pending_mu;
-  std::vector<int> pending_fds;
 
   std::unordered_map<Conn*, std::shared_ptr<Conn>> conns;
   /// Keeps conns closed mid-batch alive until the batch's stale epoll
   /// events can no longer reference them.
   std::vector<std::shared_ptr<Conn>> graveyard;
-  std::atomic<bool> attention{false};
+  /// The epoll batch in progress: events[next_event, n_events) are still
+  /// to be handled — by whichever thread leads when they are reached.
+  std::vector<epoll_event> events = std::vector<epoll_event>(128);
+  int n_events = 0;
+  int next_event = 0;
+  /// A connection to re-read before the rest of the batch: the one whose
+  /// inline command handed the loop over.
+  std::shared_ptr<Conn> resume_conn;
   bool listener_registered = false;
+
+  std::mutex lead_mu;
+  std::condition_variable lead_cv;
+  bool handed_over = false;  ///< the parked standby should lead (lead_mu)
+  bool finished = false;     ///< the loop is done; threads exit (lead_mu)
+  /// A thread is parked and can take the loop over. Set by the parking
+  /// thread, cleared by the leader handing over — read lock-free by the
+  /// leader deciding whether a command may run inline.
+  std::atomic<bool> standby_parked{false};
+
+  std::mutex pending_mu;
+  std::vector<int> pending_fds;
+  std::atomic<bool> attention{false};
 
   /// epoll data.ptr sentinels (distinct stable addresses).
   int wake_marker = 0;
   int listen_marker = 0;
+
+  /// The leader and the standby; joined by Stop() before the loop dies.
+  std::vector<std::thread> threads;
 
   ~Loop() {
     if (epoll_fd >= 0) ::close(epoll_fd);
@@ -203,6 +227,38 @@ void TcpServer::Conn::WakeLoopLocked() {
   ssize_t rc = ::write(wake_fd, &one, sizeof(one));
   (void)rc;
 }
+
+/// The hook an inline command runs under: before its first wait on a
+/// source it passes the loop to the parked standby, marking `conn` to be
+/// re-read first. Installed only while the loop has a parked standby, and
+/// only the leader clears that flag, so the standby is still parked when
+/// the hook fires.
+class TcpServer::HandOff final : public BlockHook {
+ public:
+  HandOff(Loop* loop, std::shared_ptr<Conn> conn)
+      : loop_(loop), conn_(std::move(conn)) {}
+  HandOff(const HandOff&) = delete;
+  HandOff& operator=(const HandOff&) = delete;
+
+  void BeforeBlock() override {
+    if (fired_) return;
+    fired_ = true;
+    loop_->resume_conn = std::move(conn_);
+    {
+      std::lock_guard<std::mutex> lock(loop_->lead_mu);
+      loop_->standby_parked.store(false);
+      loop_->handed_over = true;
+    }
+    loop_->lead_cv.notify_one();
+  }
+
+  bool fired() const { return fired_; }
+
+ private:
+  Loop* loop_;
+  std::shared_ptr<Conn> conn_;
+  bool fired_ = false;
+};
 
 TcpServer::TcpServer(service::MediatorService* service, TcpServerOptions options)
     : service_(service),
@@ -248,7 +304,8 @@ Status TcpServer::Start() {
   }
   for (auto& loop : loops_) {
     Loop* raw = loop.get();
-    raw->thread = std::thread([this, raw] { RunLoop(raw); });
+    raw->threads.emplace_back([this, raw] { RunLoopThread(raw, true); });
+    raw->threads.emplace_back([this, raw] { RunLoopThread(raw, false); });
   }
   service_->SetNetStatsProvider(
       [c = counters_] { return c->Snapshot(); });
@@ -263,7 +320,7 @@ void TcpServer::Stop() {
   stopping_.store(true);
   for (auto& loop : loops_) loop->Wake();
   for (auto& loop : loops_) {
-    if (loop->thread.joinable()) loop->thread.join();
+    for (std::thread& t : loop->threads) t.join();
   }
   loops_.clear();
   listen_fd_.reset();
@@ -272,44 +329,45 @@ void TcpServer::Stop() {
 
 service::NetStats TcpServer::stats() const { return counters_->Snapshot(); }
 
-void TcpServer::RunLoop(Loop* loop) {
-  std::vector<epoll_event> events(128);
+void TcpServer::RunLoopThread(Loop* loop, bool lead) {
   for (;;) {
-    bool stopping = stopping_.load(std::memory_order_acquire);
-    int timeout_ms = 500;
-    if (stopping) {
-      timeout_ms = 10;
-    } else if (options_.idle_timeout_ns >= 0) {
-      int64_t half = options_.idle_timeout_ns / 2'000'000;
-      timeout_ms = static_cast<int>(std::max<int64_t>(1, std::min<int64_t>(100, half)));
-    }
-    int n = epoll_wait(loop->epoll_fd, events.data(),
-                       static_cast<int>(events.size()), timeout_ms);
-    if (n < 0 && errno != EINTR) break;
-    for (int i = 0; i < n; ++i) {
-      void* tag = events[i].data.ptr;
-      if (tag == &loop->wake_marker) {
-        uint64_t buf;
-        while (::read(loop->wake_fd, &buf, sizeof(buf)) > 0) {
-        }
-        continue;
-      }
-      if (tag == &loop->listen_marker) {
-        if (!stopping) AcceptNew(loop);
-        continue;
-      }
-      auto it = loop->conns.find(static_cast<Conn*>(tag));
-      if (it == loop->conns.end()) continue;  // stale event from this batch
-      std::shared_ptr<Conn> conn = it->second;
-      uint32_t ev = events[i].events;
-      if (ev & EPOLLOUT) {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        if (!conn->closed) conn->FlushLocked();
-      }
-      if (ev & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) {
-        HandleReadable(loop, conn);
+    if (!lead && !Park(loop)) return;
+    if (!Lead(loop)) break;
+    lead = false;  // handed the loop over mid-command: park as the standby
+  }
+  {
+    std::lock_guard<std::mutex> lock(loop->lead_mu);
+    loop->finished = true;
+  }
+  loop->lead_cv.notify_all();
+}
+
+bool TcpServer::Park(Loop* loop) {
+  std::unique_lock<std::mutex> lock(loop->lead_mu);
+  if (loop->finished) return false;
+  loop->standby_parked.store(true);
+  loop->lead_cv.wait(lock,
+                     [loop] { return loop->handed_over || loop->finished; });
+  if (!loop->handed_over) return false;
+  loop->handed_over = false;
+  return true;
+}
+
+bool TcpServer::Lead(Loop* loop) {
+  for (;;) {
+    if (loop->resume_conn != nullptr) {
+      std::shared_ptr<Conn> conn = std::move(loop->resume_conn);
+      if (loop->conns.count(conn.get()) > 0 &&
+          HandleReadable(loop, conn, /*may_run_here=*/true)) {
+        return true;
       }
     }
+    while (loop->next_event < loop->n_events) {
+      const epoll_event& ev = loop->events[static_cast<size_t>(loop->next_event++)];
+      if (HandleEvent(loop, ev.data.ptr, ev.events)) return true;
+    }
+    // End of batch.
+    const bool stopping = stopping_.load(std::memory_order_acquire);
     AdoptPending(loop);
     if (loop->attention.exchange(false, std::memory_order_acq_rel)) {
       ServiceAttention(loop);
@@ -322,9 +380,45 @@ void TcpServer::RunLoop(Loop* loop) {
         loop->listener_registered = false;
       }
       DrainForShutdown(loop);
-      if (loop->conns.empty()) break;
+      if (loop->conns.empty()) return false;
     }
+    int timeout_ms = 500;
+    if (stopping) {
+      timeout_ms = 10;
+    } else if (options_.idle_timeout_ns >= 0) {
+      int64_t half = options_.idle_timeout_ns / 2'000'000;
+      timeout_ms = static_cast<int>(std::max<int64_t>(1, std::min<int64_t>(100, half)));
+    }
+    int n = epoll_wait(loop->epoll_fd, loop->events.data(),
+                       static_cast<int>(loop->events.size()), timeout_ms);
+    if (n < 0 && errno != EINTR) return false;
+    loop->n_events = std::max(n, 0);
+    loop->next_event = 0;
   }
+}
+
+bool TcpServer::HandleEvent(Loop* loop, void* tag, uint32_t events) {
+  if (tag == &loop->wake_marker) {
+    uint64_t buf;
+    while (::read(loop->wake_fd, &buf, sizeof(buf)) > 0) {
+    }
+    return false;
+  }
+  if (tag == &loop->listen_marker) {
+    if (!stopping_.load(std::memory_order_acquire)) AcceptNew(loop);
+    return false;
+  }
+  auto it = loop->conns.find(static_cast<Conn*>(tag));
+  if (it == loop->conns.end()) return false;  // stale event from this batch
+  std::shared_ptr<Conn> conn = it->second;
+  if (events & EPOLLOUT) {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    if (!conn->closed) conn->FlushLocked();
+  }
+  if (events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) {
+    return HandleReadable(loop, conn, /*may_run_here=*/true);
+  }
+  return false;
 }
 
 void TcpServer::AcceptNew(Loop* loop) {
@@ -401,37 +495,57 @@ void TcpServer::AdoptPending(Loop* loop) {
   }
 }
 
-void TcpServer::HandleReadable(Loop* loop, const std::shared_ptr<Conn>& conn) {
-  if (stopping_.load(std::memory_order_acquire)) return;
+bool TcpServer::HandleReadable(Loop* loop, const std::shared_ptr<Conn>& conn,
+                               bool may_run_here) {
+  if (stopping_.load(std::memory_order_acquire)) return false;
+  // The last whole frame read so far, held back until the socket is
+  // drained: only the frame that ends the read may run inline.
+  std::string held;
+  std::string* hold = may_run_here ? &held : nullptr;
   char buf[kReadChunk];
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->closed || conn->read_paused) return;
+      if (conn->closed || conn->read_paused) break;
     }
     ssize_t r = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (r > 0) {
       counters_->rx_bytes.fetch_add(r, std::memory_order_relaxed);
       conn->last_active_ns.store(NowNs(), std::memory_order_relaxed);
       conn->in_buf.append(buf, static_cast<size_t>(r));
-      if (!ParseFrames(loop, conn)) return;  // connection closed
+      if (!ParseFrames(loop, conn, hold)) return false;  // connection closed
       continue;
     }
-    if (r == 0) {  // peer closed its half: nothing more can arrive
-      CloseConn(loop, conn);
-      return;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    // EOF (the peer closed its half: nothing more can arrive) or a hard
+    // error. A frame that arrived before it still runs, as every earlier
+    // one did.
+    if (!held.empty()) DispatchFrame(conn, std::move(held));
     CloseConn(loop, conn);
-    return;
+    return false;
   }
   if (conn->in_buf.size() > conn->in_off) {
     counters_->partial_reads.fetch_add(1, std::memory_order_relaxed);
   }
+  if (held.empty()) return false;
+  return RunLastFrame(loop, conn, std::move(held));
 }
 
-bool TcpServer::ParseFrames(Loop* loop, const std::shared_ptr<Conn>& conn) {
+bool TcpServer::RunLastFrame(Loop* loop, const std::shared_ptr<Conn>& conn,
+                             std::string frame) {
+  if (!loop->standby_parked.load()) {
+    DispatchFrame(conn, std::move(frame));
+    return false;
+  }
+  HandOff hand_off(loop, conn);
+  ScopedBlockHook scope(&hand_off);
+  DispatchFrame(conn, std::move(frame), /*run_here=*/true);
+  return hand_off.fired();
+}
+
+bool TcpServer::ParseFrames(Loop* loop, const std::shared_ptr<Conn>& conn,
+                            std::string* held) {
   for (;;) {
     std::string_view rest(conn->in_buf.data() + conn->in_off,
                           conn->in_buf.size() - conn->in_off);
@@ -445,12 +559,20 @@ bool TcpServer::ParseFrames(Loop* loop, const std::shared_ptr<Conn>& conn) {
       // frame boundary in a stream whose header lies. Drop only this
       // connection; siblings are untouched.
       counters_->decode_closes.fetch_add(1, std::memory_order_relaxed);
+      if (held != nullptr && !held->empty()) {
+        DispatchFrame(conn, std::move(*held));
+      }
       CloseConn(loop, conn);
       return false;
     }
     std::string frame = conn->in_buf.substr(conn->in_off, frame_size);
     conn->in_off += frame_size;
-    DispatchFrame(conn, std::move(frame));
+    if (held == nullptr) {
+      DispatchFrame(conn, std::move(frame));
+    } else {
+      if (!held->empty()) DispatchFrame(conn, std::move(*held));
+      *held = std::move(frame);
+    }
     {
       std::lock_guard<std::mutex> lock(conn->mu);
       if (conn->read_paused) break;
@@ -467,20 +589,26 @@ bool TcpServer::ParseFrames(Loop* loop, const std::shared_ptr<Conn>& conn) {
 }
 
 void TcpServer::DispatchFrame(const std::shared_ptr<Conn>& conn,
-                              std::string frame) {
+                              std::string frame, bool run_here) {
   uint64_t seq = conn->next_dispatch_seq++;
   counters_->frames_in.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     conn->in_flight += 1;
   }
-  // CallAsync may answer inline (decode errors, admission rejection), and
-  // CompleteResponse re-locks conn->mu — so no lock may be held here.
-  service_->CallAsync(
-      std::move(frame),
-      [self = conn->shared_from_this(), seq](std::string response) {
-        CompleteResponse(self, seq, std::move(response));
-      });
+  // The service may answer on this thread (inline commands, decode errors,
+  // admission rejection), and CompleteResponse re-locks conn->mu — so no
+  // lock may be held here. With run_here the loop may have been handed
+  // over by the time the call returns: from here on only conn->mu state
+  // may be touched.
+  auto done = [self = conn, seq](std::string response) {
+    CompleteResponse(self, seq, std::move(response));
+  };
+  if (run_here) {
+    service_->CallInline(std::move(frame), std::move(done));
+  } else {
+    service_->CallAsync(std::move(frame), std::move(done));
+  }
   std::lock_guard<std::mutex> lock(conn->mu);
   if (!conn->closed && !conn->read_paused &&
       conn->in_flight >= conn->max_pipeline) {
@@ -563,8 +691,10 @@ void TcpServer::ServiceAttention(Loop* loop) {
     if (doom) {
       CloseConn(loop, conn);
     } else if (resume) {
-      if (!ParseFrames(loop, conn)) continue;
-      HandleReadable(loop, conn);
+      // Everything goes to the pool here: a hand-over in mid-sweep would
+      // strand the rest of the snapshot.
+      if (!ParseFrames(loop, conn, nullptr)) continue;
+      (void)HandleReadable(loop, conn, /*may_run_here=*/false);
     }
   }
 }

@@ -10,10 +10,24 @@
 //     SO_REUSEPORT kernel support.
 //   * Per-connection read buffer with incremental frame reassembly: bytes
 //     accumulate until wire::PeekFrame reports a whole frame, which is
-//     handed to MediatorService::CallAsync — the same decoder and typed
+//     handed to the MediatorService — the same decoder and typed
 //     rejections as the in-process/sim paths (a truncated or garbled
 //     PAYLOAD is an error frame; a garbled HEADER loses frame sync and
 //     closes only that connection).
+//   * Commands run where they arrive: the last whole frame a read leaves in
+//     a connection's buffer goes to MediatorService::CallInline, so a
+//     session command whose lane is idle runs to completion on the loop
+//     thread — no hop to an executor worker and back. Earlier frames of a
+//     pipelined batch, and every frame while the loop has no parked
+//     standby, go to CallAsync and the worker pool.
+//   * Leader and standby: each loop has two threads. One leads (waits in
+//     epoll and owns the loop's state); the other is parked. An inline
+//     command installs a BlockHook (core/block_hook.h), and when it is
+//     about to wait on a source the hook hands the loop — the rest of the
+//     epoll batch, plus the current connection to re-read — to the parked
+//     thread. The command's thread finishes it, releases its response,
+//     and parks as the loop's new standby. A slow source therefore never
+//     stalls the other connections of its loop.
 //   * Pipelining with in-order responses: requests dispatched from one
 //     connection may complete on different workers in any order (distinct
 //     sessions run in parallel), but responses are released to the wire in
@@ -27,14 +41,18 @@
 //     complete and their responses flush (up to drain_timeout_ns), then
 //     closes. Idle connections are reaped by a per-loop sweep.
 //
-// Thread-safety: sockets are registered EPOLLET; the owning loop performs
-// all reads, while completions (worker threads) append to the connection's
-// mutex-guarded write queue and flush opportunistically — send() on a
-// nonblocking fd never blocks the worker. MSG_NOSIGNAL everywhere: a dead
-// peer is an errno, never SIGPIPE. The whole reactor runs under TSan in CI.
+// Thread-safety: sockets are registered EPOLLET; the loop's current leader
+// performs all reads and owns the loop's connection table, and leadership
+// passes between the loop's two threads under the loop's mutex. Completions
+// (workers, and loop threads finishing an inline command after handing the
+// loop over) append to the connection's mutex-guarded write queue and flush
+// opportunistically — send() on a nonblocking fd never blocks. MSG_NOSIGNAL
+// everywhere: a dead peer is an errno, never SIGPIPE. The whole reactor
+// runs under TSan in CI.
 //
 // Lifetime: the server must be destroyed (or Stop()ped) before the
-// MediatorService it serves.
+// MediatorService it serves. Stop() joins every loop thread, so it waits
+// for an inline command to come back from its source.
 #ifndef MIX_NET_TCP_TCP_SERVER_H_
 #define MIX_NET_TCP_TCP_SERVER_H_
 
@@ -100,19 +118,45 @@ class TcpServer {
   struct Conn;
   struct Loop;
   struct Counters;
+  class HandOff;
 
-  void RunLoop(Loop* loop);
+  /// Body of both threads of a loop; `lead` is true for the one that
+  /// starts as leader.
+  void RunLoopThread(Loop* loop, bool lead);
+  /// Parks the calling thread as the loop's standby until the leader hands
+  /// the loop over (true) or the loop has finished (false).
+  static bool Park(Loop* loop);
+  /// Leads the loop: returns true when this thread handed the loop to the
+  /// standby (and finished its inline command), false when the loop is
+  /// done.
+  bool Lead(Loop* loop);
+  /// Handles one epoll event (its data.ptr and event mask); true when the
+  /// loop was handed over.
+  bool HandleEvent(Loop* loop, void* tag, uint32_t events);
   void AcceptNew(Loop* loop);
   void AdoptPending(Loop* loop);
-  void HandleReadable(Loop* loop, const std::shared_ptr<Conn>& conn);
+  /// Reads until EAGAIN and dispatches what arrived. With `may_run_here`
+  /// the last whole frame may run inline; returns true when that command
+  /// handed the loop over (the caller then owns nothing of the loop).
+  bool HandleReadable(Loop* loop, const std::shared_ptr<Conn>& conn,
+                      bool may_run_here);
   /// Parses whole frames out of conn->in_buf and dispatches them; returns
-  /// false when the connection was closed (corrupt header).
-  bool ParseFrames(Loop* loop, const std::shared_ptr<Conn>& conn);
-  void DispatchFrame(const std::shared_ptr<Conn>& conn, std::string frame);
-  /// Completion path (any worker thread): queue in order, flush, police
-  /// the high-water mark. Static on purpose — a late completion may run
-  /// after the server object is gone, so it may only touch the Conn (which
-  /// the callback keeps alive) and the counters it holds.
+  /// false when the connection was closed (corrupt header). With `held`,
+  /// the last whole frame is left in *held (undispatched) instead.
+  bool ParseFrames(Loop* loop, const std::shared_ptr<Conn>& conn,
+                   std::string* held);
+  /// Dispatches `frame` — through CallInline under a HandOff hook when the
+  /// loop has a parked standby, through CallAsync otherwise. True when the
+  /// loop was handed over.
+  bool RunLastFrame(Loop* loop, const std::shared_ptr<Conn>& conn,
+                    std::string frame);
+  void DispatchFrame(const std::shared_ptr<Conn>& conn, std::string frame,
+                     bool run_here = false);
+  /// Completion path (a worker, or a loop thread running the command
+  /// inline): queue in order, flush, police the high-water mark. Static on
+  /// purpose — a late completion may run after the server object is gone,
+  /// so it may only touch the Conn (which the callback keeps alive) and the
+  /// counters it holds.
   static void CompleteResponse(const std::shared_ptr<Conn>& conn, uint64_t seq,
                                std::string response);
   void CloseConn(Loop* loop, const std::shared_ptr<Conn>& conn);

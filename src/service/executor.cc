@@ -61,6 +61,33 @@ Status Executor::Submit(uint64_t key,
   return Status::OK();
 }
 
+bool Executor::ClaimLane(uint64_t key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (stopping_) return false;
+  auto [it, idle] = queues_.try_emplace(key);
+  if (!idle) return false;  // queued or running elsewhere
+  it->second.scheduled = true;
+  ++stats_.accepted;
+  ++stats_.executed;
+  ++stats_.inline_runs;
+  return true;
+}
+
+void Executor::ReleaseLane(uint64_t key) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = queues_.find(key);
+    MIX_CHECK(it != queues_.end());
+    if (it->second.items.empty()) {
+      queues_.erase(it);
+      return;
+    }
+    // Tasks for the key arrived while the caller ran; a worker takes over.
+    ready_.push_back(key);
+  }
+  cv_.notify_one();
+}
+
 Executor::Stats Executor::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s = stats_;
@@ -96,7 +123,8 @@ void Executor::WorkerLoop() {
     item.task = nullptr;  // destroy captured state outside the lock
     lock.lock();
     // Release the key: requeue if new tasks arrived while we ran, drop the
-    // (empty) queue entry otherwise so the map stays bounded by live keys.
+    // (empty) queue entry otherwise so the map stays bounded by live keys
+    // (ReleaseLane does the same for inline runs).
     auto it2 = queues_.find(key);
     MIX_CHECK(it2 != queues_.end());
     if (it2->second.items.empty()) {

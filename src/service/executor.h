@@ -18,6 +18,12 @@
 // kDeadlineExceeded and the session's work it would have done is skipped.
 // (Tasks already executing are not interrupted; C++ offers no safe
 // preemption, and one navigation command is short.)
+//
+// A caller already holding a request may run it itself instead of paying a
+// hop to a worker: TryRunInline claims the key's lane when it is idle —
+// nothing queued, nothing running — and runs the task on the calling
+// thread. Tasks submitted for the key meanwhile queue behind it, so per-key
+// FIFO order holds across inline and pooled runs.
 #ifndef MIX_SERVICE_EXECUTOR_H_
 #define MIX_SERVICE_EXECUTOR_H_
 
@@ -53,6 +59,9 @@ class Executor {
     int64_t expired = 0;    ///< dequeued past their deadline.
     int64_t executed = 0;   ///< ran with an OK admission status.
     int64_t queued = 0;     ///< tasks currently waiting.
+    /// Runs on the caller's thread (TryRunInline); also counted in
+    /// accepted and executed.
+    int64_t inline_runs = 0;
   };
 
   explicit Executor(Options options);
@@ -69,17 +78,32 @@ class Executor {
   Status Submit(uint64_t key, std::chrono::steady_clock::time_point deadline,
                 Task task);
 
+  /// Runs `task()` on the calling thread when `key`'s lane is idle and the
+  /// executor is not stopping; returns false without running it otherwise.
+  /// While it runs, the lane is busy: other TryRunInline calls for `key`
+  /// are refused and Submits for it queue until it returns.
+  template <typename F>
+  bool TryRunInline(uint64_t key, F&& task) {
+    if (!ClaimLane(key)) return false;
+    task();
+    ReleaseLane(key);
+    return true;
+  }
+
   Stats stats() const;
 
  private:
+  bool ClaimLane(uint64_t key);
+  void ReleaseLane(uint64_t key);
   struct Item {
     std::chrono::steady_clock::time_point deadline;
     Task task;
   };
   struct KeyQueue {
     std::deque<Item> items;
-    /// True while the key is in ready_ or a worker is running its task —
-    /// the invariant that makes per-key execution serial.
+    /// True while the key is in ready_ or a worker or an inline caller is
+    /// running its task — the invariant that makes per-key execution
+    /// serial. A key has an entry in queues_ exactly while it is scheduled.
     bool scheduled = false;
   };
 

@@ -115,6 +115,7 @@ std::string ServiceMetricsSnapshot::ToString() const {
          " error=" + std::to_string(requests_error) +
          " rejected=" + std::to_string(requests_rejected) +
          " expired=" + std::to_string(requests_expired) +
+         " inline=" + std::to_string(requests_inline) +
          " queued=" + std::to_string(queue_depth) + "}" +
          " frames{in=" + std::to_string(frames_in) +
          " out=" + std::to_string(frames_out) + "}" +

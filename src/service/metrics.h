@@ -119,6 +119,9 @@ struct ServiceMetricsSnapshot {
   int64_t requests_error = 0;
   int64_t requests_rejected = 0;   ///< kUnavailable at admission.
   int64_t requests_expired = 0;    ///< kDeadlineExceeded before running.
+  /// Requests run on the thread that received them (a TCP event loop, a
+  /// RoundTrip caller) instead of an executor worker.
+  int64_t requests_inline = 0;
   int64_t queue_depth = 0;
   // Wire accounting (frames crossing the service boundary).
   int64_t frames_in = 0;

@@ -24,6 +24,27 @@ bool IsLxp(MsgType t) {
          t == MsgType::kLxpFillMany;
 }
 
+/// Session commands CallInline may run on the calling thread. kOpen
+/// compiles and builds a session, and LXP serving has lanes of its own;
+/// both stay on the pool.
+bool RunsInline(MsgType t) {
+  switch (t) {
+    case MsgType::kRoot:
+    case MsgType::kDown:
+    case MsgType::kRight:
+    case MsgType::kFetch:
+    case MsgType::kSelectSibling:
+    case MsgType::kNthChild:
+    case MsgType::kDownAll:
+    case MsgType::kNextSiblings:
+    case MsgType::kFetchSubtree:
+    case MsgType::kClose:
+      return true;
+    default:
+      return false;
+  }
+}
+
 mediator::ColumnType ConvertColumnType(
     buffer::PushdownCapability::ColumnType t) {
   switch (t) {
@@ -174,6 +195,18 @@ uint64_t MediatorService::KeyForRequest(const Frame& request,
 void MediatorService::CallAsync(
     std::string request_bytes,
     std::function<void(std::string response_bytes)> done) {
+  Dispatch(std::move(request_bytes), std::move(done), /*run_here=*/false);
+}
+
+void MediatorService::CallInline(
+    std::string request_bytes,
+    std::function<void(std::string response_bytes)> done) {
+  Dispatch(std::move(request_bytes), std::move(done), /*run_here=*/true);
+}
+
+void MediatorService::Dispatch(
+    std::string request_bytes,
+    std::function<void(std::string response_bytes)> done, bool run_here) {
   {
     std::lock_guard<std::mutex> lock(metrics_mu_);
     ++frames_in_;
@@ -210,19 +243,30 @@ void MediatorService::CallAsync(
 
   auto started = std::chrono::steady_clock::now();
   auto deadline = DeadlineFor(request);
+  auto record_latency = [this, started] {
+    auto elapsed = std::chrono::steady_clock::now() - started;
+    std::lock_guard<std::mutex> lock(metrics_mu_);
+    latency_.Record(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
+  };
+  if (run_here && RunsInline(request.type)) {
+    Frame response;
+    // The lane is released before the response leaves, so the session's
+    // next command finds it idle.
+    if (executor_.TryRunInline(
+            key, [&] { response = Execute(request, deadline); })) {
+      record_latency();
+      respond(response);
+      return;
+    }
+  }
   Status admitted = executor_.Submit(
       key, deadline,
-      [this, request = std::move(request), respond, started,
+      [this, request = std::move(request), respond, record_latency,
        deadline](const Status& admission) {
         Frame response = admission.ok() ? Execute(request, deadline)
                                         : Frame::Error(admission);
-        auto elapsed = std::chrono::steady_clock::now() - started;
-        {
-          std::lock_guard<std::mutex> lock(metrics_mu_);
-          latency_.Record(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                  .count());
-        }
+        record_latency();
         respond(response);
       });
   if (!admitted.ok()) {
@@ -233,8 +277,9 @@ void MediatorService::CallAsync(
 Result<std::string> MediatorService::RoundTrip(const std::string& request_bytes) {
   std::promise<std::string> promise;
   std::future<std::string> future = promise.get_future();
-  CallAsync(request_bytes,
-            [&promise](std::string bytes) { promise.set_value(std::move(bytes)); });
+  CallInline(request_bytes, [&promise](std::string bytes) {
+    promise.set_value(std::move(bytes));
+  });
   return future.get();
 }
 
@@ -428,6 +473,7 @@ ServiceMetricsSnapshot MediatorService::Metrics() const {
   Executor::Stats exec = executor_.stats();
   snap.requests_rejected = exec.rejected;
   snap.requests_expired = exec.expired;
+  snap.requests_inline = exec.inline_runs;
   snap.queue_depth = exec.queued;
   {
     std::lock_guard<std::mutex> lock(metrics_mu_);

@@ -4,10 +4,13 @@
 // The service accepts framed requests (service/wire.h), admits them into a
 // bounded executor (service/executor.h) keyed by session — commands of one
 // session run in order, distinct sessions run in parallel — and answers
-// with framed responses. Every path a peer can influence degrades to an
-// error *frame*, never a crash: malformed frames, unknown sessions, expired
-// deadlines and overload all come back as kError with the corresponding
-// Status code, and the session (when one exists) stays usable.
+// with framed responses. A caller that holds a thread (CallInline,
+// RoundTrip) runs a session command itself when the session's lane is
+// idle, skipping the hop to a worker. Every path a peer can influence
+// degrades to an error *frame*, never a crash: malformed frames, unknown
+// sessions, expired deadlines and overload all come back as kError with the
+// corresponding Status code, and the session (when one exists) stays
+// usable.
 //
 // Request lifecycle:
 //   bytes in -> decode (Status-based) -> admit (kUnavailable if the queue
@@ -85,17 +88,28 @@ class MediatorService : public wire::FrameTransport {
   /// Asynchronous entry point: decodes, admits, and eventually invokes
   /// `done` with the encoded response frame — on a worker thread for
   /// admitted requests, inline for requests refused at the door (decode
-  /// errors, overload). `done` is invoked exactly once.
+  /// errors, overload) and for kMetrics. `done` is invoked exactly once.
   void CallAsync(std::string request_bytes,
                  std::function<void(std::string response_bytes)> done);
 
-  /// Synchronous FrameTransport: CallAsync + wait. Safe to call from many
+  /// CallAsync for a caller that holds a thread it is willing to lend: a
+  /// session command (kRoot, d/r/f/σ, kNthChild, kDownAll, kNextSiblings,
+  /// kFetchSubtree, kClose) whose session lane is idle runs to completion
+  /// on the calling thread, and `done` has fired by the time this returns.
+  /// Everything else takes the CallAsync path. A command that reaches a
+  /// source blocks the calling thread; a caller that must not block
+  /// installs a BlockHook (core/block_hook.h) first.
+  void CallInline(std::string request_bytes,
+                  std::function<void(std::string response_bytes)> done);
+
+  /// Synchronous FrameTransport: CallInline + wait, so a session command
+  /// whose lane is idle runs on the caller's thread. Safe to call from many
   /// client threads concurrently.
   Result<std::string> RoundTrip(const std::string& request_bytes) override;
 
   /// Native async FrameTransport: routes through CallAsync, so `done` fires
   /// on a worker thread once the request executes (inline for requests
-  /// refused at the door). The service always answers — server-side errors
+  /// answered at the door). The service always answers — server-side errors
   /// arrive as kError frames inside an OK Result.
   void RoundTripAsync(std::string request_bytes,
                       wire::FrameTransport::AsyncDone done) override {
@@ -144,6 +158,11 @@ class MediatorService : public wire::FrameTransport {
   }
 
  private:
+  /// CallAsync and CallInline; `run_here` allows the inline path.
+  void Dispatch(std::string request_bytes,
+                std::function<void(std::string response_bytes)> done,
+                bool run_here);
+
   /// Runs a decoded request against its session and produces the response.
   /// `deadline` is the executor deadline; its remaining budget becomes the
   /// session's per-command fill deadline (retry backoff cannot outlive it).

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "buffer/fault_wrapper.h"
+#include "core/block_hook.h"
 #include "mediator/translate.h"
 
 namespace mix::service {
@@ -264,6 +265,10 @@ void Session::RefreshSourceMetrics() {
     metrics_.pushed_dropped += s.pushed_dropped;
   }
   for (const auto& channel : channels_) metrics_.lxp += channel->stats();
+}
+
+Session::~Session() {
+  if (!wrappers_.empty()) NotifyBeforeBlock();
 }
 
 void Session::BeginCommand(int64_t budget_ns) {

@@ -167,9 +167,15 @@ using PrefetchDispatch = std::function<void(
 
 /// One open session. Construction happens on a worker (plan compilation is
 /// part of the Open request); navigation state is only touched under the
-/// executor's per-session serialization.
+/// session's executor lane — on a worker, or on a thread that claimed the
+/// idle lane to run a command inline (Executor::TryRunInline).
 class Session {
  public:
+  /// Destroying the wrappers may wait on their sources (a remote wrapper
+  /// joins its transport's dispatch thread), so the destructor calls
+  /// NotifyBeforeBlock() first.
+  ~Session();
+
   /// `fault_counters` (optional) aggregates every source buffer's fault/
   /// retry/degradation counts service-wide. `plan` is the compiled query —
   /// shared and immutable, typically from a PlanCache; the session keeps a

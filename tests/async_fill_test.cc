@@ -155,6 +155,39 @@ TEST(FillFutureTest, CallbackFiresInlineWhenAlreadyComplete) {
   EXPECT_TRUE(fired);
 }
 
+TEST(FillFutureTest, CallbackKeepsResponseWhileWaiterTakesIt) {
+  // Complete wakes waiters before it runs the callback, and a waiter moves
+  // the response out. The callback here reads its list only after the
+  // waiter has taken its own: it must still see every fill (and, under
+  // TSan, without a data race on the future's list).
+  auto future = std::make_shared<FillFuture>();
+  std::atomic<bool> waiter_done{false};
+  size_t callback_saw = 0;
+  future->OnComplete([&](const Status& s, const HoleFillList& fills) {
+    ASSERT_TRUE(s.ok());
+    auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!waiter_done.load() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    callback_saw = fills.size();
+  });
+  HoleFillList taken;
+  std::thread waiter([&] {
+    EXPECT_TRUE(future->Wait(&taken).ok());
+    waiter_done = true;
+  });
+  HoleFillList fills;
+  for (int i = 0; i < 16; ++i) {
+    fills.push_back(
+        HoleFill{"h" + std::to_string(i), {Fragment::Element("a")}});
+  }
+  future->Complete(Status::OK(), std::move(fills));
+  waiter.join();
+  EXPECT_TRUE(waiter_done.load());
+  EXPECT_EQ(taken.size(), 16u);
+  EXPECT_EQ(callback_saw, 16u);
+}
+
 TEST(PushMailboxTest, CloseDropsLaterDeliveries) {
   PushMailbox box;
   EXPECT_TRUE(box.Deliver(PushedFill{"h1", {Fragment::Element("a")}}));

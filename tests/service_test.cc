@@ -719,6 +719,161 @@ TEST(ServiceTest, CacheStressManySessionsByteIdenticalUnderEviction) {
   EXPECT_GE(snap.plan_cache_hits, kThreads * (kSessionsPerThread - 1));
 }
 
+// ---------------------------------------------------------------------------
+// Executor lane claims: a caller holding a request runs it itself when the
+// key's lane is idle (the path RoundTrip and the TCP event loops take).
+
+constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
+
+TEST(ExecutorTest, InlineAndPooledTasksOfAKeyRunInSubmissionOrder) {
+  Executor executor(Executor::Options{4, 1024});
+  constexpr uint64_t kKey = 7;
+  constexpr int kTasks = 120;
+  std::mutex mu;
+  std::vector<int> order;
+  auto record = [&](int i) {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(i);
+  };
+  std::atomic<int> pending{0};
+  int inline_runs = 0;
+  for (int i = 0; i < kTasks; ++i) {
+    if (i % 4 == 3) {
+      // Wait for the lane to drain: this one must run here.
+      while (!executor.TryRunInline(kKey, [&] { record(i); })) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+      ++inline_runs;
+      continue;
+    }
+    // Odd tasks try the inline path first; they run here only when the
+    // pooled tasks before them are done, and queue behind them otherwise.
+    if (i % 2 == 1 && executor.TryRunInline(kKey, [&] { record(i); })) {
+      ++inline_runs;
+      continue;
+    }
+    ++pending;
+    ASSERT_TRUE(executor
+                    .Submit(kKey, kNoDeadline,
+                            [&, i](const Status& admission) {
+                              EXPECT_TRUE(admission.ok());
+                              std::this_thread::sleep_for(
+                                  std::chrono::microseconds(100));
+                              record(i);
+                              --pending;
+                            })
+                    .ok());
+  }
+  while (pending.load() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::vector<int> expected(kTasks);
+  for (int i = 0; i < kTasks; ++i) expected[static_cast<size_t>(i)] = i;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(order, expected);
+  }
+  EXPECT_GE(inline_runs, kTasks / 4);
+  Executor::Stats stats = executor.stats();
+  EXPECT_EQ(stats.inline_runs, inline_runs);
+  EXPECT_EQ(stats.accepted, kTasks);
+  EXPECT_EQ(stats.executed, kTasks);
+  EXPECT_EQ(stats.queued, 0);
+}
+
+TEST(ExecutorTest, InlineClaimRefusedWhileLaneBusyOrStopping) {
+  auto executor = std::make_unique<Executor>(Executor::Options{1, 16});
+  constexpr uint64_t kKey = 1;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool started = false;
+  bool release = false;
+  ASSERT_TRUE(executor
+                  ->Submit(kKey, kNoDeadline,
+                           [&](const Status&) {
+                             std::unique_lock<std::mutex> lock(mu);
+                             started = true;
+                             cv.notify_all();
+                             cv.wait(lock, [&] { return release; });
+                           })
+                  .ok());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return started; });
+  }
+  bool ran = false;
+  // Running on a worker: refused, and the task is not run.
+  EXPECT_FALSE(executor->TryRunInline(kKey, [&] { ran = true; }));
+  // Another key's lane is idle.
+  EXPECT_TRUE(executor->TryRunInline(kKey + 1, [] {}));
+  // Running with a task queued behind it: still refused.
+  std::atomic<bool> second_done{false};
+  ASSERT_TRUE(executor
+                  ->Submit(kKey, kNoDeadline,
+                           [&](const Status&) { second_done = true; })
+                  .ok());
+  EXPECT_FALSE(executor->TryRunInline(kKey, [&] { ran = true; }));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  // Once both pooled tasks are done the lane is idle again.
+  while (!executor->TryRunInline(kKey, [&] { ran = true; })) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  EXPECT_TRUE(second_done.load());
+  EXPECT_TRUE(ran);
+  Executor::Stats stats = executor->stats();
+  EXPECT_EQ(stats.inline_runs, 2);
+  EXPECT_EQ(stats.accepted, 4);
+  EXPECT_EQ(stats.executed, 4);
+
+  // Stopping: a pooled task keeps claiming an idle key while the executor
+  // is destroyed around it. Once the destructor has begun, the claim is
+  // refused and the task returns, letting the destructor join it.
+  std::atomic<bool> in_task{false};
+  std::atomic<bool> refused{false};
+  Executor* raw = executor.get();
+  ASSERT_TRUE(executor
+                  ->Submit(kKey, kNoDeadline,
+                           [&, raw](const Status&) {
+                             in_task = true;
+                             auto give_up = std::chrono::steady_clock::now() +
+                                            std::chrono::seconds(10);
+                             while (std::chrono::steady_clock::now() < give_up) {
+                               if (!raw->TryRunInline(99, [] {})) {
+                                 refused = true;
+                                 return;
+                               }
+                               std::this_thread::sleep_for(
+                                   std::chrono::microseconds(100));
+                             }
+                           })
+                  .ok());
+  while (!in_task.load()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  executor.reset();
+  EXPECT_TRUE(refused.load());
+}
+
+TEST(ServiceTest, RoundTripRunsSessionCommandsInline) {
+  ServiceFixture fx;
+  MediatorService service(&fx.env(), {});
+  auto doc = FramedDocument::Open(&service, kFig3).ValueOrDie();
+  NodeId root = doc->Root();
+  EXPECT_EQ(doc->Fetch(root), "answer");
+  EXPECT_TRUE(doc->Close().ok());
+
+  // Root, Fetch and Close ran on this thread; Open always takes the pool.
+  ServiceMetricsSnapshot snap = service.Metrics();
+  EXPECT_EQ(snap.requests_ok, 4);
+  EXPECT_EQ(snap.requests_inline, 3);
+  EXPECT_NE(snap.ToString().find(" inline=3 "), std::string::npos)
+      << snap.ToString();
+}
+
 TEST(ServiceTest, MetricsFrameRoundTrip) {
   ServiceFixture fx;
   MediatorService service(&fx.env(), {});

@@ -1,11 +1,13 @@
 // End-to-end tests for the real TCP transport: loopback parity with the
 // in-process service (byte for byte), incremental frame reassembly, corrupt
 // header/payload handling, slow-reader backpressure, graceful shutdown
-// drain, client deadlines on a stalled server, and retry-driven reconnect.
+// drain, inline commands handing the loop to its standby, client deadlines
+// on a stalled server, and retry-driven reconnect.
 //
 // The whole file runs under TSan in CI — it exercises every cross-thread
 // edge of the reactor (worker completions racing loop closes, pipelined
-// out-of-order completion, Stop() against in-flight commands).
+// out-of-order completion, loop hand-overs mid-command, Stop() against
+// in-flight commands).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,6 +16,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -65,29 +68,46 @@ const char* kExpectedAnswer =
     "school[dir[Smith],zip[91220]],school[dir[Bar],zip[91220]]],"
     "med_home[home[addr[El Cajon],zip[91223]],school[dir[Hart],zip[91223]]]]";
 
+/// Shared state of gated SlowLxpWrappers: how many fills have started, and
+/// whether fills are held.
+struct Gate {
+  std::atomic<int> entered{0};
+  std::atomic<bool> hold{true};
+};
+
 /// LxpWrapper decorator whose fills dawdle — a "distant source" that keeps
-/// a command in flight long enough for Stop() to race it.
+/// a command in flight long enough for Stop() to race it. With a gate, a
+/// fill keeps sleeping in `delay` steps while the gate holds it.
 class SlowLxpWrapper : public buffer::LxpWrapper {
  public:
-  SlowLxpWrapper(const xml::Document* doc, std::chrono::milliseconds delay)
-      : inner_(doc), delay_(delay) {}
+  SlowLxpWrapper(const xml::Document* doc, std::chrono::milliseconds delay,
+                 Gate* gate = nullptr)
+      : inner_(doc), delay_(delay), gate_(gate) {}
 
   std::string GetRoot(const std::string& uri) override {
     return inner_.GetRoot(uri);
   }
   buffer::FragmentList Fill(const std::string& hole_id) override {
-    std::this_thread::sleep_for(delay_);
+    Dawdle();
     return inner_.Fill(hole_id);
   }
   buffer::HoleFillList FillMany(const std::vector<std::string>& holes,
                                 const buffer::FillBudget& budget) override {
-    std::this_thread::sleep_for(delay_);
+    Dawdle();
     return inner_.FillMany(holes, budget);
   }
 
  private:
+  void Dawdle() {
+    if (gate_ != nullptr) gate_->entered.fetch_add(1);
+    do {
+      std::this_thread::sleep_for(delay_);
+    } while (gate_ != nullptr && gate_->hold.load());
+  }
+
   wrappers::XmlLxpWrapper inner_;
   std::chrono::milliseconds delay_;
+  Gate* gate_;
 };
 
 /// Session environment with the homes/schools sources of Fig. 3.
@@ -625,6 +645,210 @@ TEST(TcpTransportTest, StopDrainsInFlightCommand) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().type, MsgType::kLabel);
   EXPECT_EQ(decoded.value().text, "answer");
+}
+
+// --------------------------------------------------------------------------
+// Inline commands and the standby hand-over: a session command runs on the
+// event loop thread, and a command that waits on a source hands the loop to
+// the standby first.
+// --------------------------------------------------------------------------
+
+/// "slowSrc" is the homes document behind a gated 50 ms SlowLxpWrapper,
+/// "homesSrc" the same document behind a plain wrapper.
+class GatedFixture {
+ public:
+  GatedFixture() : homes_(testing::Doc(kHomes)) {
+    env_.RegisterWrapperFactory(
+        "slowSrc",
+        [this] {
+          return std::make_unique<SlowLxpWrapper>(
+              homes_.get(), std::chrono::milliseconds(50), &gate_);
+        },
+        "homes.xml");
+    env_.RegisterWrapperFactory(
+        "homesSrc",
+        [this] {
+          return std::make_unique<wrappers::XmlLxpWrapper>(homes_.get());
+        },
+        "homes.xml");
+  }
+
+  SessionEnvironment& env() { return env_; }
+  Gate& gate() { return gate_; }
+
+ private:
+  std::unique_ptr<xml::Document> homes_;
+  Gate gate_;
+  SessionEnvironment env_;
+};
+
+/// Every home of `source`, under a root element named `root`.
+std::string HomesQuery(const std::string& source, const std::string& root) {
+  return "CONSTRUCT <" + root + "> $H {$H} </" + root + "> {} WHERE " +
+         source + " homes.home $H";
+}
+
+/// A command that hands its loop over parks as the new standby only after
+/// its response has left; a client firing its next command at once can
+/// beat it, and that command then takes the pool. The inline-count checks
+/// below pause first.
+void LetStandbyPark() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+}
+
+Frame FetchFrame(uint64_t session, const NodeId& node) {
+  Frame f;
+  f.type = MsgType::kFetch;
+  f.session = session;
+  f.node = node;
+  return f;
+}
+
+TEST(TcpTransportTest, BlockedInlineCommandDoesNotStallItsLoop) {
+  // One event loop, two connections. Session A's command blocks in its
+  // source; session B's commands on the same loop must not queue behind it.
+  GatedFixture fx;
+  MediatorService service(&fx.env(), {});
+  TcpServerOptions opts;
+  opts.event_loops = 1;
+  TcpServer server(&service, opts);
+  ASSERT_TRUE(server.Start().ok());
+  TcpTransportOptions copts;
+  copts.port = server.port();
+  TcpFrameTransport transport_a(copts);
+  TcpFrameTransport transport_b(copts);
+
+  auto doc_a = FramedDocument::Open(&transport_a, HomesQuery("slowSrc", "a"))
+                   .ValueOrDie();
+  auto doc_b = FramedDocument::Open(&transport_b, HomesQuery("homesSrc", "b"))
+                   .ValueOrDie();
+  NodeId root_b = doc_b->Root();
+  ASSERT_EQ(doc_b->Fetch(root_b), "b");
+  std::optional<NodeId> home_b = doc_b->Down(root_b);
+  ASSERT_TRUE(home_b.has_value());
+
+  NodeId root_a = doc_a->Root();
+  ASSERT_TRUE(root_a.valid());
+  LetStandbyPark();
+  const int64_t inline_before = service.Metrics().requests_inline;
+  std::atomic<bool> a_done{false};
+  std::thread a([&] {
+    std::vector<SubtreeEntry> entries;
+    doc_a->FetchSubtree(root_a, -1, &entries);
+    EXPECT_TRUE(doc_a->last_status().ok());
+    EXPECT_FALSE(entries.empty());
+    a_done = true;
+  });
+  ASSERT_TRUE(WaitUntil([&] { return fx.gate().entered.load() > 0; }));
+
+  int64_t worst_ns = 0;
+  for (int i = 0; i < 100; ++i) {
+    const int64_t t0 = NowNs();
+    Label label = i % 2 == 0 ? doc_b->Fetch(root_b) : doc_b->Fetch(*home_b);
+    worst_ns = std::max(worst_ns, NowNs() - t0);
+    ASSERT_EQ(label, i % 2 == 0 ? "b" : "home");
+  }
+  EXPECT_FALSE(a_done.load()) << "session A was not blocked throughout";
+  EXPECT_LT(worst_ns, 25'000'000) << "a command waited behind session A";
+  // A's command ran on the loop thread and handed the loop over; with that
+  // thread blocked the loop had no standby, so B's commands took the pool.
+  EXPECT_EQ(service.Metrics().requests_inline, inline_before + 1);
+  fx.gate().hold = false;
+  a.join();
+}
+
+TEST(TcpTransportTest, PipelinedSlowSessionsOnOneConnectionOverlap) {
+  // N sessions on one connection, one slow command each, sent as one
+  // pipelined batch: the earlier frames run on the pool and the last one
+  // on the loop thread, so the batch takes about one command's time — and
+  // the responses still come back in request order.
+  GatedFixture fx;
+  fx.gate().hold = false;  // every fill just takes 50 ms
+  MediatorService service(&fx.env(), {});
+  TcpServer server(&service, {});
+  ASSERT_TRUE(server.Start().ok());
+  TcpTransportOptions copts;
+  copts.port = server.port();
+  TcpFrameTransport transport(copts);
+
+  constexpr int kSessions = 4;
+  std::vector<std::unique_ptr<FramedDocument>> docs;
+  std::vector<NodeId> roots;
+  for (int i = 0; i <= kSessions; ++i) {
+    docs.push_back(FramedDocument::Open(
+                       &transport, HomesQuery("slowSrc", "s" + std::to_string(i)))
+                       .ValueOrDie());
+    roots.push_back(docs.back()->Root());
+  }
+  // Session kSessions alone: the time of one command.
+  int64_t t0 = NowNs();
+  ASSERT_EQ(docs[kSessions]->Fetch(roots[kSessions]), "s4");
+  const int64_t one_ns = NowNs() - t0;
+  ASSERT_GE(one_ns, 50'000'000);
+
+  std::vector<std::string> requests;
+  for (int i = 0; i < kSessions; ++i) {
+    requests.push_back(service::wire::EncodeFrame(
+        FetchFrame(docs[static_cast<size_t>(i)]->session_id(),
+                   roots[static_cast<size_t>(i)])));
+  }
+  LetStandbyPark();
+  const int64_t inline_before = service.Metrics().requests_inline;
+  t0 = NowNs();
+  Result<std::vector<std::string>> responses =
+      transport.RoundTripMany(requests);
+  const int64_t batch_ns = NowNs() - t0;
+  ASSERT_TRUE(responses.ok()) << responses.status().ToString();
+  ASSERT_EQ(responses.value().size(), requests.size());
+  for (int i = 0; i < kSessions; ++i) {
+    Result<Frame> decoded =
+        service::wire::DecodeFrame(responses.value()[static_cast<size_t>(i)]);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded.value().type, MsgType::kLabel);
+    EXPECT_EQ(decoded.value().text, "s" + std::to_string(i));
+  }
+  EXPECT_LT(batch_ns, 2 * one_ns)
+      << "one command: " << one_ns / 1'000'000 << " ms, " << kSessions
+      << " pipelined: " << batch_ns / 1'000'000 << " ms";
+  EXPECT_GE(service.Metrics().requests_inline, inline_before + 1);
+}
+
+TEST(TcpTransportTest, StopDrainsCommandBlockedInlineInASource) {
+  GatedFixture fx;
+  MediatorService service(&fx.env(), {});
+  TcpServer server(&service, {});
+  ASSERT_TRUE(server.Start().ok());
+  TcpTransportOptions copts;
+  copts.port = server.port();
+  TcpFrameTransport transport(copts);
+  auto doc = FramedDocument::Open(&transport, HomesQuery("slowSrc", "a"))
+                 .ValueOrDie();
+  NodeId root = doc->Root();
+  LetStandbyPark();
+  const int64_t inline_before = service.Metrics().requests_inline;
+
+  std::string request =
+      service::wire::EncodeFrame(FetchFrame(doc->session_id(), root));
+  Result<std::string> response = Status::Internal("not run");
+  std::thread client([&] { response = transport.RoundTrip(request); });
+  ASSERT_TRUE(WaitUntil([&] { return fx.gate().entered.load() > 0; }));
+  // Stop() lands while the command is blocked in the source on a loop
+  // thread; the source lets go a little later, and Stop() returns only
+  // after the response has gone out.
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    fx.gate().hold = false;
+  });
+  server.Stop();
+  releaser.join();
+  client.join();
+
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  Result<Frame> decoded = service::wire::DecodeFrame(response.value());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().type, MsgType::kLabel);
+  EXPECT_EQ(decoded.value().text, "a");
+  EXPECT_EQ(service.Metrics().requests_inline, inline_before + 1);
 }
 
 // --------------------------------------------------------------------------
