@@ -1,44 +1,51 @@
-// Experiment E19 (DESIGN.md): the async fill engine.
+// Experiments E7 and E19 (DESIGN.md): the readahead window — the buffer's
+// one run-ahead mechanism (BufferComponent::Options::max_in_flight) — over
+// an in-process source and over real TCP.
 //
-//   * BM_AsyncFillJoinOverTcp — the Fig. 3 two-source join where both
-//     sources are served remotely (real TCP loopback) by wrappers with a
-//     fixed per-exchange latency (250 µs — a fast LAN database). window=0
-//     is the serialized baseline: every exchange is a demand fill, paid in
-//     full on the navigation thread. window>0 turns on the concurrent
-//     readahead window: independent holes go in flight through
+//   * BM_ReadaheadPagingWalk (E7, the paper's Section 4 "asynchronous
+//     prefetching strategy") — page through the first 600 books of a
+//     10k-book store (25 books per page) with node-at-a-time r commands,
+//     over the in-process wrapper (the sync shim: every flight has resolved
+//     before the next command starts, so the run is deterministic). The
+//     window sweep {0,1,2,4} reports how many fills the client had to wait
+//     for (demand_fills = fills - readahead_hits), how many a flight
+//     answered, how many flights went out, and the source pages read.
+//
+//   * BM_AsyncFillOverTcp (E19) — remote sources served over real TCP
+//     loopback by wrappers with a fixed per-exchange latency (250 µs — a
+//     fast LAN database). query:0 is the Fig. 3 two-source join, query:1 a
+//     full scan of a wide homes source. window=0 is the serialized
+//     baseline: every exchange is a demand fill, paid in full on the
+//     navigation thread. window>0 puts independent holes in flight through
 //     TcpFrameTransport's dispatch thread (coalescing into pipelined
 //     batches), so wrapper latency overlaps navigation and the *other*
 //     source's exchanges. Every materialized answer is checked against the
 //     in-process evaluation of the same plan (`mismatches` must stay 0);
 //     the wall-clock ratio window=0 / window=8 is the tracked speedup.
 //
-//   * BM_BackgroundPrefetchWarm — a full scan of a wide source with
-//     prefetch_per_command candidates per command. workers=0 is the
-//     pre-async engine: run-ahead fills happen synchronously between
-//     commands, paying the wrapper latency inline. workers=2 hands the
-//     same candidates to the service's background pool: fills land in the
-//     shared SourceCache and the session mailbox while navigation
-//     proceeds, so the demand path finds warm holes instead of sleeping
-//     wrappers. Budgeted: one FillMany exchange per job, chase bounded by
-//     prefetch_fills_per_job.
+// Each benchmark runs 5 repetitions and reports only the aggregates
+// (mean/median/stddev plus `min`): single runs on a shared VM vary too much
+// to compare.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "buffer/buffer.h"
 #include "buffer/lxp.h"
-#include "client/framed_document.h"
 #include "mediator/instantiate.h"
 #include "mediator/translate.h"
 #include "net/tcp/tcp_server.h"
 #include "net/tcp/tcp_transport.h"
 #include "service/service.h"
 #include "service/wire.h"
+#include "wrappers/bookstore.h"
 #include "wrappers/xml_lxp_wrapper.h"
 #include "xml/doc_navigable.h"
 #include "xml/materialize.h"
@@ -103,39 +110,113 @@ class SleepyXmlWrapper : public buffer::LxpWrapper {
   wrappers::XmlLxpWrapper inner_;
 };
 
-struct JoinWorkload {
+double MinOf(const std::vector<double>& v) {
+  return *std::min_element(v.begin(), v.end());
+}
+
+void BM_ReadaheadPagingWalk(benchmark::State& state) {
+  const int window = static_cast<int>(state.range(0));
+  wrappers::BookstoreSite site("store",
+                               wrappers::MakeCatalog({10000, 42, 0}), 25);
+  buffer::BufferComponent::Stats stats;
+  int64_t pages_fetched = 0;
+  for (auto _ : state) {
+    wrappers::BookstoreLxpWrapper wrapper(&site);
+    buffer::BufferComponent::Options options;
+    options.max_in_flight = window;
+    buffer::BufferComponent buffer(&wrapper, "http://store", options);
+    std::optional<NodeId> book = buffer.Down(buffer.Root());
+    for (int i = 1; i < 600 && book.has_value(); ++i) {
+      benchmark::DoNotOptimize(buffer.Fetch(*book));
+      book = buffer.Right(*book);
+    }
+    stats = buffer.stats();
+    pages_fetched = wrapper.pages_fetched();
+  }
+  state.counters["window"] = static_cast<double>(window);
+  state.counters["demand_fills"] =
+      static_cast<double>(stats.fills - stats.readahead_hits);
+  state.counters["readahead_hits"] = static_cast<double>(stats.readahead_hits);
+  state.counters["readahead_issued"] =
+      static_cast<double>(stats.readahead_issued);
+  state.counters["pages_fetched"] = static_cast<double>(pages_fetched);
+}
+BENCHMARK(BM_ReadaheadPagingWalk)
+    ->ArgName("window")
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly()
+    ->ComputeStatistics("min", MinOf);
+
+/// One query over remote homes (and, for the join, schools) sources, with
+/// its in-process reference answer.
+struct TcpWorkload {
   std::unique_ptr<xml::Document> homes;
-  std::unique_ptr<xml::Document> schools;
+  std::unique_ptr<xml::Document> schools;  ///< null for the scan
   mediator::PlanPtr plan;
   std::string reference_term;
 
-  explicit JoinWorkload(int n) {
-    homes = xml::MakeHomesDoc(n, 10);
-    schools = xml::MakeSchoolsDoc(n, 10);
+  TcpWorkload(const char* query, int homes_n, int schools_n) {
+    homes = xml::MakeHomesDoc(homes_n, 10);
+    if (schools_n > 0) schools = xml::MakeSchoolsDoc(schools_n, 10);
     xml::DocNavigable homes_nav(homes.get());
-    xml::DocNavigable schools_nav(schools.get());
+    std::unique_ptr<xml::DocNavigable> schools_nav;
     mediator::SourceRegistry sources;
     sources.Register("homesSrc", &homes_nav);
-    sources.Register("schoolsSrc", &schools_nav);
-    plan = mediator::CompileXmas(kFig3).ValueOrDie();
+    if (schools != nullptr) {
+      schools_nav = std::make_unique<xml::DocNavigable>(schools.get());
+      sources.Register("schoolsSrc", schools_nav.get());
+    }
+    plan = mediator::CompileXmas(query).ValueOrDie();
     auto med = mediator::LazyMediator::Build(*plan, sources).ValueOrDie();
     xml::Document out;
     reference_term = xml::ToTerm(xml::MaterializeInto(med->document(), &out));
   }
 };
 
-/// Client-side join over two remote LXP sources: each source is a
-/// FramedLxpWrapper over its own TCP connection, demand-paged by a
-/// BufferComponent with the given readahead window.
-void BM_AsyncFillJoinOverTcp(benchmark::State& state) {
-  const int window = static_cast<int>(state.range(0));
-  static const JoinWorkload* workload = new JoinWorkload(16);
+const TcpWorkload& WorkloadFor(int query) {
+  static const TcpWorkload* join = new TcpWorkload(kFig3, 16, 16);
+  static const TcpWorkload* scan = new TcpWorkload(kScanQuery, 64, 0);
+  return query == 0 ? *join : *scan;
+}
+
+/// One remote source as the client sees it: a FramedLxpWrapper over its own
+/// TCP connection, demand-paged by a BufferComponent.
+struct RemoteSource {
+  RemoteSource(const TcpTransportOptions& connect, const std::string& uri,
+               int window)
+      : transport(connect),
+        wrapper(&transport, uri),
+        buffer(&wrapper, uri, Options(window)) {}
+  static buffer::BufferComponent::Options Options(int window) {
+    buffer::BufferComponent::Options options;
+    options.max_in_flight = window;
+    return options;
+  }
+  TcpFrameTransport transport;
+  service::wire::FramedLxpWrapper wrapper;
+  buffer::BufferComponent buffer;
+};
+
+void BM_AsyncFillOverTcp(benchmark::State& state) {
+  const int query = static_cast<int>(state.range(0));
+  const int window = static_cast<int>(state.range(1));
+  const TcpWorkload& workload = WorkloadFor(query);
 
   SessionEnvironment env;
-  SleepyXmlWrapper homes_wrapper(workload->homes.get());
-  SleepyXmlWrapper schools_wrapper(workload->schools.get());
+  SleepyXmlWrapper homes_wrapper(workload.homes.get());
   env.ExportWrapper("homes.xml", &homes_wrapper, /*concurrent=*/true);
-  env.ExportWrapper("schools.xml", &schools_wrapper, /*concurrent=*/true);
+  std::unique_ptr<SleepyXmlWrapper> schools_wrapper;
+  if (workload.schools != nullptr) {
+    schools_wrapper =
+        std::make_unique<SleepyXmlWrapper>(workload.schools.get());
+    env.ExportWrapper("schools.xml", schools_wrapper.get(),
+                      /*concurrent=*/true);
+  }
   MediatorService::Options options;
   options.workers = 8;
   options.queue_capacity = 4096;
@@ -146,44 +227,41 @@ void BM_AsyncFillJoinOverTcp(benchmark::State& state) {
     return;
   }
 
-  int64_t joins_done = 0;
+  TcpTransportOptions connect;
+  connect.port = server.port();
+  int64_t runs = 0;
   int64_t mismatches = 0;
   int64_t async_ops = 0;
   int64_t async_batches = 0;
   int64_t readahead_hits = 0;
   for (auto _ : state) {
-    TcpTransportOptions copts;
-    copts.port = server.port();
-    TcpFrameTransport homes_transport(copts);
-    TcpFrameTransport schools_transport(copts);
-    service::wire::FramedLxpWrapper homes_remote(&homes_transport,
-                                                 "homes.xml");
-    service::wire::FramedLxpWrapper schools_remote(&schools_transport,
-                                                   "schools.xml");
-    buffer::BufferComponent::Options bopts;
-    bopts.max_in_flight = window;
-    buffer::BufferComponent homes_buf(&homes_remote, "homes.xml", bopts);
-    buffer::BufferComponent schools_buf(&schools_remote, "schools.xml",
-                                        bopts);
+    std::vector<std::unique_ptr<RemoteSource>> remotes;
     mediator::SourceRegistry sources;
-    sources.Register("homesSrc", &homes_buf);
-    sources.Register("schoolsSrc", &schools_buf);
+    remotes.push_back(
+        std::make_unique<RemoteSource>(connect, "homes.xml", window));
+    sources.Register("homesSrc", &remotes.back()->buffer);
+    if (workload.schools != nullptr) {
+      remotes.push_back(
+          std::make_unique<RemoteSource>(connect, "schools.xml", window));
+      sources.Register("schoolsSrc", &remotes.back()->buffer);
+    }
     auto med =
-        mediator::LazyMediator::Build(*workload->plan, sources).ValueOrDie();
+        mediator::LazyMediator::Build(*workload.plan, sources).ValueOrDie();
     xml::Document out;
     if (xml::ToTerm(xml::MaterializeInto(med->document(), &out)) !=
-        workload->reference_term) {
+        workload.reference_term) {
       ++mismatches;
     }
-    ++joins_done;
-    async_ops += homes_transport.async_ops() + schools_transport.async_ops();
-    async_batches +=
-        homes_transport.async_batches() + schools_transport.async_batches();
-    readahead_hits +=
-        homes_buf.stats().readahead_hits + schools_buf.stats().readahead_hits;
+    ++runs;
+    for (const auto& r : remotes) {
+      async_ops += r->transport.async_ops();
+      async_batches += r->transport.async_batches();
+      readahead_hits += r->buffer.stats().readahead_hits;
+    }
   }
   server.Stop();
-  state.SetItemsProcessed(joins_done);
+  state.SetItemsProcessed(runs);
+  state.counters["query"] = static_cast<double>(query);
   state.counters["window"] = static_cast<double>(window);
   state.counters["mismatches"] = static_cast<double>(mismatches);
   state.counters["async_ops"] = benchmark::Counter(
@@ -193,92 +271,19 @@ void BM_AsyncFillJoinOverTcp(benchmark::State& state) {
   state.counters["readahead_hits"] = benchmark::Counter(
       static_cast<double>(readahead_hits), benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_AsyncFillJoinOverTcp)
-    ->ArgName("window")
-    ->Arg(0)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
+BENCHMARK(BM_AsyncFillOverTcp)
+    ->ArgNames({"query", "window"})
+    ->Args({0, 0})
+    ->Args({0, 2})
+    ->Args({0, 4})
+    ->Args({0, 8})
+    ->Args({1, 0})
+    ->Args({1, 8})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-/// Full scan of a wide source: synchronous between-command prefetch
-/// (workers=0, the E7 model made real-time) vs. the background pool.
-void BM_BackgroundPrefetchWarm(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  static const std::unique_ptr<xml::Document>* homes =
-      new std::unique_ptr<xml::Document>(xml::MakeHomesDoc(64, 10));
-
-  std::string reference;
-  {
-    SessionEnvironment ref_env;
-    ref_env.RegisterWrapperFactory(
-        "homesSrc",
-        [doc = homes->get()] {
-          return std::make_unique<wrappers::XmlLxpWrapper>(doc);
-        },
-        "homes.xml");
-    MediatorService ref_service(&ref_env, {});
-    auto doc = client::FramedDocument::Open(&ref_service, kScanQuery)
-                   .ValueOrDie();
-    xml::Document out;
-    reference = xml::ToTerm(xml::MaterializeInto(doc.get(), &out));
-  }
-
-  int64_t sessions_done = 0;
-  int64_t mismatches = 0;
-  int64_t prefetch_fills = 0;
-  int64_t pushed_or_cached = 0;
-  for (auto _ : state) {
-    SessionEnvironment env;
-    SessionEnvironment::WrapperOptions wo;
-    wo.prefetch_per_command = 8;
-    wo.background_prefetch = true;
-    env.RegisterWrapperFactory(
-        "homesSrc",
-        [doc = homes->get()] {
-          return std::make_unique<SleepyXmlWrapper>(doc);
-        },
-        "homes.xml", wo);
-    MediatorService::Options options;
-    options.workers = 2;
-    options.source_cache_bytes = 16 << 20;
-    options.prefetch_workers = workers;
-    options.prefetch_fills_per_job = 8;
-    MediatorService service(&env, options);
-
-    auto doc =
-        client::FramedDocument::Open(&service, kScanQuery).ValueOrDie();
-    xml::Document out;
-    if (xml::ToTerm(xml::MaterializeInto(doc.get(), &out)) != reference) {
-      ++mismatches;
-    }
-    ++sessions_done;
-    service::ServiceMetricsSnapshot snap = service.Metrics();
-    prefetch_fills += snap.prefetch_fills;
-    auto session = service.registry().Find(doc->session_id());
-    if (session != nullptr) {
-      session->RefreshSourceMetrics();
-      pushed_or_cached += session->metrics().pushed_applied +
-                          session->metrics().cache_hits;
-    }
-  }
-  state.SetItemsProcessed(sessions_done);
-  state.counters["workers"] = static_cast<double>(workers);
-  state.counters["mismatches"] = static_cast<double>(mismatches);
-  state.counters["prefetch_fills"] = benchmark::Counter(
-      static_cast<double>(prefetch_fills), benchmark::Counter::kAvgIterations);
-  state.counters["pushed_or_cached"] = benchmark::Counter(
-      static_cast<double>(pushed_or_cached),
-      benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_BackgroundPrefetchWarm)
-    ->ArgName("workers")
-    ->Arg(0)
-    ->Arg(2)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
+    ->UseRealTime()
+    ->Repetitions(5)
+    ->ReportAggregatesOnly()
+    ->ComputeStatistics("min", MinOf);
 
 }  // namespace

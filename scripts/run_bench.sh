@@ -6,8 +6,8 @@
 # change that moves them. Compare two revisions by checking out each and
 # diffing the emitted JSON (real_time per benchmark; for batch navigation
 # also the `messages` counter of the batched=0 vs batched=1 rows in
-# BENCH_batch_nav.json / BENCH_lxp_chunking.json / BENCH_prefetch.json —
-# the before/after message counts of the vectored fill path). For
+# BENCH_batch_nav.json / BENCH_lxp_chunking.json — the before/after
+# message counts of the vectored fill path). For
 # BENCH_service.json the numbers that matter are items_per_second across the
 # BM_ServiceThroughput workers:1..8 rows (worker-pool scaling on the
 # 64-session workload), the mismatches counter (framed answers must equal
@@ -41,14 +41,18 @@
 # failovers/replays > 0 proving the kill actually exercised the rebind and
 # path-replay machinery.
 #
-# For BENCH_async_fill.json (E19, the async fill engine) the numbers that
-# matter are BM_AsyncFillJoinOverTcp's real_time at window:0 vs window:8 —
-# the concurrent readahead window over 250us-latency TCP wrappers must cut
-# the two-source-join wall clock by >= 1.5x — with mismatches (= 0),
-# async_batches > 0 (real pipelined RoundTripMany on the wire) and
-# readahead_hits > 0; and BM_BackgroundPrefetchWarm's real_time at
-# workers:0 vs workers:2 (background pool vs inline sync prefetch) with
-# pushed_or_cached > 0 (fills landed via mailbox/SourceCache, not demand).
+# For BENCH_async_fill.json (E7 + E19, the readahead window) the numbers
+# that matter are BM_AsyncFillOverTcp's real_time at window:0 vs window:8
+# for query:0 (the two-source join) and query:1 (the wide scan) — the
+# concurrent readahead window over 250us-latency TCP wrappers must cut the
+# join's wall clock by >= 1.5x — with mismatches (= 0), async_batches > 0
+# (real pipelined RoundTripMany on the wire) and readahead_hits > 0; and
+# BM_ReadaheadPagingWalk's demand_fills / readahead_hits / pages_fetched
+# across window:0..4 (E7: fills the client waits for vs. fills a flight
+# answered, and the speculation cost in source pages).
+# bench_async_fill repeats each benchmark 5 times and records only the
+# aggregates (mean/median/stddev/min); every JSON's "context" records the
+# host (name, CPUs, MHz, caches).
 #
 # Usage: scripts/run_bench.sh [suite] [build-dir]
 #   With no arguments, runs every tracked suite against ./build. A first
@@ -59,7 +63,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 MIN_TIME="${BENCH_MIN_TIME:-0.2}"
 
-SUITES=(node_id plan_pipeline batch_nav lxp_chunking prefetch service faults source_cache plan_opt answer_views tcp fleet async_fill)
+SUITES=(node_id plan_pipeline batch_nav lxp_chunking service faults source_cache plan_opt answer_views tcp fleet async_fill)
 BUILD=build
 if [ $# -gt 0 ]; then
   matched=0
@@ -75,7 +79,7 @@ if [ $# -gt 0 ]; then
     if [ -d "$1" ]; then
       BUILD="$1"
     else
-      echo "unknown suite or build dir '$1' — valid suites: node_id plan_pipeline batch_nav lxp_chunking prefetch service faults source_cache plan_opt answer_views tcp fleet async_fill" >&2
+      echo "unknown suite or build dir '$1' — valid suites: node_id plan_pipeline batch_nav lxp_chunking service faults source_cache plan_opt answer_views tcp fleet async_fill" >&2
       echo "usage: scripts/run_bench.sh [suite] [build-dir]" >&2
       exit 1
     fi

@@ -59,44 +59,4 @@ std::shared_ptr<FillFuture> FillFuture::Resolved(Status status,
   return f;
 }
 
-bool PushMailbox::Deliver(PushedFill fill) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (closed_ || pending_.size() >= kMaxPending) {
-    ++dropped_;
-    return false;
-  }
-  pending_.push_back(std::move(fill));
-  ++delivered_;
-  return true;
-}
-
-std::vector<PushedFill> PushMailbox::Drain() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<PushedFill> out(std::make_move_iterator(pending_.begin()),
-                              std::make_move_iterator(pending_.end()));
-  pending_.clear();
-  return out;
-}
-
-void PushMailbox::Close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  closed_ = true;
-  pending_.clear();
-}
-
-bool PushMailbox::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
-}
-
-int64_t PushMailbox::delivered() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return delivered_;
-}
-
-int64_t PushMailbox::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
 }  // namespace mix::buffer

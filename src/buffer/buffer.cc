@@ -30,11 +30,9 @@ BufferComponent::BufferComponent(LxpWrapper* wrapper, std::string uri,
 }
 
 BufferComponent::~BufferComponent() {
-  // Cancellation on close: flip the mailbox so background prefetch workers
-  // drop further deliveries, and abandon in-flight readahead futures —
-  // their completions own their shared state, so the exchanges finish (or
-  // fail at transport teardown) without touching this buffer.
-  if (options_.mailbox != nullptr) options_.mailbox->Close();
+  // Cancellation on close: abandon in-flight readahead futures — their
+  // completions own their shared state, so the exchanges finish (or fail at
+  // transport teardown) without touching this buffer.
   inflight_.clear();
 }
 
@@ -52,7 +50,9 @@ BufferComponent::BNode* BufferComponent::Graft(const Fragment& fragment) {
     n->is_hole = true;
     n->hole_id = fragment.hole_id;
     ++holes_outstanding_;
-    hole_queue_.push_back(n->index);
+    // Only the readahead window drains the queue; without one, queuing
+    // would keep 8 B per hole ever seen for the buffer's lifetime.
+    if (options_.max_in_flight > 0) hole_queue_.push_back(n->index);
     // Freshness was validated before any mutation; this is an invariant.
     MIX_CHECK_MSG(hole_by_id_.emplace(n->hole_id, n->index).second,
                   "wrapper reused a hole id");
@@ -70,13 +70,10 @@ BufferComponent::BNode* BufferComponent::Graft(const Fragment& fragment) {
   return n;
 }
 
-void BufferComponent::Charge(int64_t request_bytes, int64_t response_bytes,
-                             bool background) {
-  net::Channel* channel =
-      background ? options_.prefetch_channel : options_.channel;
-  if (channel == nullptr) return;
-  channel->Send(request_bytes);
-  channel->Send(response_bytes);
+void BufferComponent::Charge(int64_t request_bytes, int64_t response_bytes) {
+  if (options_.channel == nullptr) return;
+  options_.channel->Send(request_bytes);
+  options_.channel->Send(response_bytes);
 }
 
 Status BufferComponent::ValidateFragments(
@@ -136,13 +133,16 @@ Status BufferComponent::ValidateBatch(const std::vector<std::string>& requested,
   // half-applied batch would be unrecoverable under retry).
   std::set<std::string> fresh;     // hole ids introduced by this response
   std::set<std::string> consumed;  // entry ids already refined by it
+  size_t outstanding_entries = 0;  // entries refining open-tree holes
   for (const HoleFill& f : fills) {
     if (consumed.count(f.hole_id) != 0) {
       return Status::InvalidArgument(
           "LXP batch violation: hole '" + f.hole_id + "' refined twice");
     }
     if (hole_by_id_.count(f.hole_id) != 0) {
-      // An outstanding hole of the open tree.
+      // An outstanding hole of the open tree; it must be a requested one
+      // (checked below, once every requested hole is known answered).
+      ++outstanding_entries;
     } else if (fresh.count(f.hole_id) != 0) {
       // A continuation hole introduced by an earlier entry of this response;
       // by the FillMany ordering contract it exists once that entry splices.
@@ -164,17 +164,18 @@ Status BufferComponent::ValidateBatch(const std::vector<std::string>& requested,
           "LXP batch violation: requested hole '" + id + "' not answered");
     }
   }
+  // Every requested hole is outstanding and answered, so any further
+  // open-tree entry refines a hole nobody asked this exchange for.
+  if (outstanding_entries > requested.size()) {
+    return Status::InvalidArgument(
+        "LXP batch violation: entry refines an unrequested hole");
+  }
   return Status::OK();
 }
 
-Status BufferComponent::RunWithRetry(bool background,
-                                     const std::function<Status()>& op) {
-  // Background (prefetch/push) exchanges never consume the command budget:
-  // they retry without charging a clock and without a deadline, so a flaky
-  // source can only degrade speculative holes, never stall the client.
-  net::SimClock* clock = background ? nullptr : options_.clock;
-  int64_t deadline_ns = background ? -1 : fill_deadline_ns_;
-  net::RetryPolicy::Outcome out = retry_.Run(op, clock, deadline_ns);
+Status BufferComponent::RunWithRetry(const std::function<Status()>& op) {
+  net::RetryPolicy::Outcome out =
+      retry_.Run(op, options_.clock, fill_deadline_ns_);
   faults_ += out.failures;
   retries_ += out.retries;
   backoff_ns_ += out.backoff_ns;
@@ -265,19 +266,19 @@ void BufferComponent::PublishFill(const std::string& hole_id,
                                      std::move(fragments));
 }
 
-Status BufferComponent::FillHole(BNode* hole, bool background) {
+Status BufferComponent::FillHole(BNode* hole) {
   MIX_CHECK(hole->is_hole);
-  if (!background && ConsumeInflight(hole)) return Status::OK();
+  if (ConsumeInflight(hole)) return Status::OK();
   if (TrySpliceFromCache(hole)) return Status::OK();
   const std::string hole_id = hole->hole_id;
-  Status s = RunWithRetry(background, [&]() {
+  Status s = RunWithRetry([&]() {
     FragmentList fragments;
     NotifyBeforeBlock();
     Status st = wrapper_->TryFill(hole_id, &fragments);
     // Every attempt crosses the link: request plus a (possibly tiny error)
     // response. Recovery cost is visible in the channel accounting.
     Charge(16 + static_cast<int64_t>(hole_id.size()),
-           st.ok() ? FragmentListByteSize(fragments) : 16, background);
+           st.ok() ? FragmentListByteSize(fragments) : 16);
     if (!st.ok()) return st;
     st = ValidateFill(fragments);
     if (!st.ok()) return st;
@@ -288,20 +289,18 @@ Status BufferComponent::FillHole(BNode* hole, bool background) {
     PublishFill(hole_id, std::move(fragments));
     return Status::OK();
   });
-  if (!background) demand_fill_in_command_ = true;
   // Exhausted retries or a permanent refusal degrade the hole; a deadline
   // leaves it intact for a later, better-funded command.
   if (!s.ok() && hole->is_hole &&
       s.code() != Status::Code::kDeadlineExceeded) {
     MarkUnavailable(hole);
   }
-  if (s.ok() && !background) MaybeIssueReadahead();
+  if (s.ok()) MaybeIssueReadahead();
   return s;
 }
 
 Status BufferComponent::FillHolesBatch(const std::vector<BNode*>& holes,
-                                       const FillBudget& budget,
-                                       bool background) {
+                                       const FillBudget& budget) {
   if (holes.empty()) return Status::OK();
   std::vector<BNode*> wire_holes;
   wire_holes.reserve(holes.size());
@@ -313,7 +312,7 @@ Status BufferComponent::FillHolesBatch(const std::vector<BNode*>& holes,
     // place).
     for (BNode* h : holes) {
       MIX_CHECK(h->is_hole);
-      if (!background && ConsumeInflight(h)) continue;
+      if (ConsumeInflight(h)) continue;
       if (!TrySpliceFromCache(h)) wire_holes.push_back(h);
     }
     if (wire_holes.empty()) return Status::OK();
@@ -328,9 +327,8 @@ Status BufferComponent::FillHolesBatch(const std::vector<BNode*>& holes,
     request_bytes += static_cast<int64_t>(h->hole_id.size());
     ids.push_back(h->hole_id);
   }
-  net::Channel* channel =
-      background ? options_.prefetch_channel : options_.channel;
-  Status s = RunWithRetry(background, [&]() {
+  net::Channel* channel = options_.channel;
+  Status s = RunWithRetry([&]() {
     HoleFillList fills;
     // Demand fills ride the async submit/complete seam too: over a sync
     // shim this IS TryFillMany inline (deterministic immediate
@@ -364,7 +362,6 @@ Status BufferComponent::FillHolesBatch(const std::vector<BNode*>& holes,
     }
     return Status::OK();
   });
-  if (!background) demand_fill_in_command_ = true;
   if (!s.ok() && s.code() != Status::Code::kDeadlineExceeded) {
     for (BNode* h : wire_holes) {
       if (h->is_hole) MarkUnavailable(h);
@@ -373,7 +370,7 @@ Status BufferComponent::FillHolesBatch(const std::vector<BNode*>& holes,
   // Overlap continuation chasing with splicing: the batch landed; put the
   // next holes (often the continuations it just introduced) in flight
   // while the caller consumes the spliced data.
-  if (s.ok() && !background) MaybeIssueReadahead();
+  if (s.ok()) MaybeIssueReadahead();
   return s;
 }
 
@@ -387,7 +384,7 @@ Status BufferComponent::CompleteChildList(BNode* parent) {
       if (c->is_hole) holes.push_back(c);
     }
     if (holes.empty()) return first_error;
-    Status s = FillHolesBatch(holes, FillBudget{}, /*background=*/false);
+    Status s = FillHolesBatch(holes, FillBudget{});
     if (!s.ok()) {
       if (first_error.ok()) first_error = s;
       // A deadline leaves the holes intact — looping cannot progress. Any
@@ -417,33 +414,14 @@ void BufferComponent::Splice(BNode* hole, const FragmentList& fragments) {
     siblings[i]->parent = parent;
     siblings[i]->pos = static_cast<int32_t>(i);
   }
-  // The filled hole is gone; mark it so queued prefetches skip it. A
-  // readahead flight for it (filled via cache or push instead) is
+  // The filled hole is gone; mark it so queued readahead skips it. A
+  // readahead flight for it (filled via the cache or a batch instead) is
   // orphaned — its completion owns its own shared state.
   hole_by_id_.erase(hole->hole_id);
   inflight_.erase(hole->hole_id);
   hole->is_hole = false;
   hole->parent = nullptr;
   --holes_outstanding_;
-}
-
-bool BufferComponent::ApplyPushedFill(const std::string& hole_id,
-                                      const FragmentList& fragments) {
-  EnsureRoot();  // a degraded bootstrap simply leaves no hole to find
-  auto it = hole_by_id_.find(hole_id);
-  if (it == hole_by_id_.end()) return false;
-  BNode* hole = by_index_[static_cast<size_t>(it->second)];
-  if (!hole->is_hole) return false;
-  // A malformed push is dropped like a corrupt datagram would be — it must
-  // not poison the open tree (and there is no requester to report to).
-  if (!ValidateFill(fragments).ok()) return false;
-  if (options_.prefetch_channel != nullptr) {
-    options_.prefetch_channel->Send(FragmentListByteSize(fragments));
-  }
-  Splice(hole, fragments);
-  // A validated push is as publishable as a validated demand fill.
-  PublishFill(hole_id, fragments);
-  return true;
 }
 
 Status BufferComponent::ChaseFirst(BNode* parent, size_t pos, BNode** out) {
@@ -458,7 +436,7 @@ Status BufferComponent::ChaseFirst(BNode* parent, size_t pos, BNode** out) {
       *out = n;
       return Status::OK();
     }
-    Status s = FillHole(n, /*background=*/false);
+    Status s = FillHole(n);
     if (!s.ok()) {
       // Still a hole: the deadline cut the fill short and the position
       // cannot be resolved this command. Degraded: the hole became an
@@ -469,55 +447,6 @@ Status BufferComponent::ChaseFirst(BNode* parent, size_t pos, BNode** out) {
     // The list changed in place; re-examine the same position.
   }
   return Status::OK();
-}
-
-void BufferComponent::Prefetch(bool had_demand_fill) {
-  if (options_.prefetch_on_miss_only && !had_demand_fill) return;
-  if (options_.prefetch_per_command <= 0) return;
-  if (options_.prefetch_sink) {
-    // Real asynchrony: hand the run-ahead to the service prefetch pool and
-    // return immediately. Results land in the mailbox (drained at the next
-    // command start) and in the shared SourceCache; a dropped job merely
-    // leaves its holes for the demand path.
-    std::vector<std::string> ids;
-    while (static_cast<int64_t>(ids.size()) < options_.prefetch_per_command &&
-           !hole_queue_.empty()) {
-      BNode* candidate = by_index_[static_cast<size_t>(hole_queue_.front())];
-      hole_queue_.pop_front();
-      if (candidate->is_hole) ids.push_back(candidate->hole_id);
-    }
-    if (!ids.empty()) options_.prefetch_sink(std::move(ids));
-    return;
-  }
-  // Deterministic-sim model (no sink): fill synchronously, charging the
-  // prefetch channel to pretend the time overlapped — kept as the
-  // reproducible single-thread harness (bench_prefetch / E7).
-  // Coalesce the run-ahead: draw up to prefetch_per_command outstanding
-  // holes from the FIFO and fill them in one exchange, letting the wrapper
-  // spend the remaining fill budget chasing continuation holes — the same
-  // fills the one-at-a-time loop performed, in 2 messages instead of 2k.
-  // Wrappers that do not chase (default FillMany) converge over rounds.
-  // Failed speculative batches degrade their holes (never retry forever,
-  // never charge the demand clock), so this loop always terminates.
-  int64_t fills_done = 0;
-  while (fills_done < options_.prefetch_per_command) {
-    std::vector<BNode*> holes;
-    while (static_cast<int64_t>(holes.size()) <
-               options_.prefetch_per_command - fills_done &&
-           !hole_queue_.empty()) {
-      BNode* candidate = by_index_[static_cast<size_t>(hole_queue_.front())];
-      hole_queue_.pop_front();
-      if (candidate->is_hole) holes.push_back(candidate);
-    }
-    if (holes.empty()) return;
-    const int64_t before = fill_count_;
-    FillHolesBatch(holes,
-                   FillBudget{-1, options_.prefetch_per_command - fills_done},
-                   /*background=*/true);
-    const int64_t done = fill_count_ - before;
-    if (done == 0) return;  // speculative batch failed; stop running ahead
-    fills_done += done;
-  }
 }
 
 void BufferComponent::MaybeIssueReadahead() {
@@ -585,21 +514,8 @@ bool BufferComponent::ConsumeInflight(BNode* hole) {
     PublishFill(f.hole_id, std::move(f.fragments));
   }
   ++readahead_hits_;
-  demand_fill_in_command_ = true;
   MaybeIssueReadahead();
   return true;
-}
-
-void BufferComponent::DrainPushed() {
-  if (options_.mailbox == nullptr) return;
-  std::vector<PushedFill> pushed = options_.mailbox->Drain();
-  for (PushedFill& p : pushed) {
-    if (ApplyPushedFill(p.hole_id, p.fragments)) {
-      ++pushed_applied_;
-    } else {
-      ++pushed_dropped_;
-    }
-  }
 }
 
 Status BufferComponent::EnsureRoot() {
@@ -621,13 +537,13 @@ Status BufferComponent::EnsureRoot() {
     }
   }
   Status s = Status::OK();
-  if (!cached_root) s = RunWithRetry(/*background=*/false, [&]() {
+  if (!cached_root) s = RunWithRetry([&]() {
     root_id.clear();
     NotifyBeforeBlock();
     Status st = wrapper_->TryGetRoot(uri_, &root_id);
     // get_root is one small request/response exchange.
     Charge(16 + static_cast<int64_t>(uri_.size()),
-           16 + static_cast<int64_t>(root_id.size()), /*background=*/false);
+           16 + static_cast<int64_t>(root_id.size()));
     if (!st.ok()) return st;
     if (root_id.empty()) {
       return Status::InvalidArgument("get_root returned an empty hole id");
@@ -656,7 +572,7 @@ Status BufferComponent::EnsureRoot() {
   hole->pos = 0;
   super_root_->children.push_back(hole);
   ++holes_outstanding_;
-  hole_queue_.push_back(hole->index);
+  if (options_.max_in_flight > 0) hole_queue_.push_back(hole->index);
   hole_by_id_.emplace(hole->hole_id, hole->index);
   return Status::OK();
 }
@@ -690,8 +606,6 @@ Status BufferComponent::BadIdStatus() {
 }
 
 NodeId BufferComponent::Root() {
-  demand_fill_in_command_ = false;
-  DrainPushed();
   Status s = EnsureRoot();
   if (!s.ok()) Latch(s);
   BNode* root = nullptr;
@@ -700,7 +614,6 @@ NodeId BufferComponent::Root() {
     // Deadline with the root hole intact: nothing to hand out yet; the
     // invalid NodeId plus the latched status is the one unavoidable ⊥.
     Latch(cs);
-    Prefetch(demand_fill_in_command_);
     return NodeId();
   }
   if (root == nullptr) {
@@ -708,13 +621,10 @@ NodeId BufferComponent::Root() {
     Latch(Status::InvalidArgument("LXP source exported an empty view"));
     root = SynthesizeUnavailable(super_root_);
   }
-  Prefetch(demand_fill_in_command_);
   return MakeId(root);
 }
 
 std::optional<NodeId> BufferComponent::Down(const NodeId& p) {
-  demand_fill_in_command_ = false;
-  DrainPushed();
   BNode* n = Resolve(p);
   if (n == nullptr) {
     Latch(BadIdStatus());
@@ -727,14 +637,11 @@ std::optional<NodeId> BufferComponent::Down(const NodeId& p) {
   BNode* child = nullptr;
   Status s = ChaseFirst(n, 0, &child);
   if (!s.ok()) Latch(s);
-  Prefetch(demand_fill_in_command_);
   if (child == nullptr) return std::nullopt;
   return MakeId(child);
 }
 
 std::optional<NodeId> BufferComponent::Right(const NodeId& p) {
-  demand_fill_in_command_ = false;
-  DrainPushed();
   BNode* n = Resolve(p);
   if (n == nullptr) {
     Latch(BadIdStatus());
@@ -744,7 +651,6 @@ std::optional<NodeId> BufferComponent::Right(const NodeId& p) {
   BNode* sibling = nullptr;
   Status s = ChaseFirst(n->parent, static_cast<size_t>(n->pos) + 1, &sibling);
   if (!s.ok()) Latch(s);
-  Prefetch(demand_fill_in_command_);
   if (sibling == nullptr) return std::nullopt;
   return MakeId(sibling);
 }
@@ -774,8 +680,6 @@ Atom BufferComponent::FetchAtom(const NodeId& p) {
 }
 
 void BufferComponent::DownAll(const NodeId& p, std::vector<NodeId>* out) {
-  demand_fill_in_command_ = false;
-  DrainPushed();
   BNode* n = Resolve(p);
   if (n == nullptr) {
     Latch(BadIdStatus());
@@ -795,14 +699,11 @@ void BufferComponent::DownAll(const NodeId& p, std::vector<NodeId>* out) {
     }
     out->push_back(MakeId(c));
   }
-  Prefetch(demand_fill_in_command_);
 }
 
 void BufferComponent::NextSiblings(const NodeId& p, int64_t limit,
                                    std::vector<NodeId>* out) {
   if (limit == 0) return;
-  demand_fill_in_command_ = false;
-  DrainPushed();
   BNode* n = Resolve(p);
   if (n == nullptr) {
     Latch(BadIdStatus());
@@ -827,7 +728,7 @@ void BufferComponent::NextSiblings(const NodeId& p, int64_t limit,
         }
         budget.elements = std::max<int64_t>(limit - taken - buffered_after, 0);
       }
-      Status s = FillHolesBatch({sib}, budget, /*background=*/false);
+      Status s = FillHolesBatch({sib}, budget);
       if (!s.ok()) {
         Latch(s);
         if (sib->is_hole) break;  // deadline: cannot advance past the hole
@@ -842,7 +743,6 @@ void BufferComponent::NextSiblings(const NodeId& p, int64_t limit,
     ++taken;
     ++pos;
   }
-  Prefetch(demand_fill_in_command_);
 }
 
 void BufferComponent::FetchSubtreeOf(BNode* n, int32_t depth_here,
@@ -880,15 +780,12 @@ void BufferComponent::FetchSubtreeOf(BNode* n, int32_t depth_here,
 
 void BufferComponent::FetchSubtree(const NodeId& p, int64_t depth,
                                    std::vector<SubtreeEntry>* out) {
-  demand_fill_in_command_ = false;
-  DrainPushed();
   BNode* n = Resolve(p);
   if (n == nullptr) {
     Latch(BadIdStatus());
     return;
   }
   FetchSubtreeOf(n, 0, depth, out);
-  Prefetch(demand_fill_in_command_);
 }
 
 std::string BufferComponent::TermOf(const BNode* n) const {

@@ -13,6 +13,15 @@
 // One generic implementation serves every wrapper — the modularity argument
 // of Section 4 against "fat" wrappers with ad-hoc buffering.
 //
+// Run-ahead (Section 4's "asynchronous prefetching strategy", DESIGN.md §4
+// "Async fill engine") has exactly one mechanism: the readahead window
+// (Options::max_in_flight). After a demand fill the buffer keeps up to that
+// many single-hole FillFuture exchanges in flight; a command that reaches
+// one of those holes splices the completed response instead of blocking on
+// a new exchange. A wrapper that pushes fills on its own initiative (the
+// paper's asynchronous LXP variant) is a native-async wrapper completing
+// such a future early.
+//
 // Fault handling (DESIGN.md §4 "Fault handling & degradation"): every
 // wrapper exchange goes through the Status-returning Try* face of
 // LxpWrapper, is validated BEFORE any mutation (progress conditions,
@@ -64,27 +73,6 @@ class BufferComponent : public Navigable {
     /// nullptr disables accounting.
     net::Channel* channel = nullptr;
 
-    /// Asynchronous prefetching (Section 4 / future work in Section 6):
-    /// opportunistically fill up to this many outstanding holes after a
-    /// client command. Two modes:
-    ///   * `prefetch_sink` set — REAL asynchrony: the hole ids are handed
-    ///     to the service-layer BackgroundPrefetcher, which fills them on
-    ///     its own worker pool and delivers through `mailbox`; overlap is
-    ///     measured, not modeled.
-    ///   * `prefetch_sink` null — deterministic-sim knob (the pre-async
-    ///     model): fills run synchronously and their traffic is charged to
-    ///     `prefetch_channel` (a null-clock channel) to *pretend* the time
-    ///     overlapped. Kept for reproducible single-thread benchmarks
-    ///     (bench_prefetch / E7).
-    int prefetch_per_command = 0;
-    net::Channel* prefetch_channel = nullptr;
-    /// Readahead-on-miss (default): prefetch only after commands that had
-    /// to issue a demand fill, bounding the run-ahead to
-    /// prefetch_per_command fills per frontier hit. When false, every
-    /// client command prefetches — unthrottled speculation that can stream
-    /// the entire source (measured in bench_prefetch).
-    bool prefetch_on_miss_only = true;
-
     /// Retry discipline for failed wrapper exchanges (default: 1 attempt —
     /// no retry, matching the pre-fault-layer behavior cost-wise).
     net::RetryOptions retry;
@@ -111,29 +99,17 @@ class BufferComponent : public Navigable {
     /// (SourceCache::BumpGeneration invalidates without scrubbing).
     int64_t cache_generation = 0;
 
-    /// Async readahead window (the tentpole of the async fill engine):
-    /// after a demand fill, keep up to this many single-hole fill
-    /// exchanges in flight via LxpWrapper::BeginFillMany. A later command
-    /// that hits one of those holes consumes the completed future instead
-    /// of issuing a blocking exchange — continuation chasing overlaps
-    /// splicing and, across sources, one buffer's flights overlap the
-    /// other's demand fills. 0 disables (the default: message-count
-    /// assertions in existing tests stay exact). Failed or stale flights
-    /// fall back to the ordinary retry/degradation demand path, so answers
-    /// are byte-identical with the window on or off.
+    /// Readahead window (see the file comment): after a demand fill, keep
+    /// up to this many single-hole fill exchanges in flight via
+    /// LxpWrapper::BeginFillMany — continuation chasing overlaps splicing
+    /// and, across sources, one buffer's flights overlap the other's demand
+    /// fills. Over a synchronous wrapper a flight resolves before the next
+    /// command starts, so the window is deterministic there. 0 disables
+    /// (the default: message-count assertions in existing tests stay
+    /// exact). Failed, stale or malformed flights fall back to the ordinary
+    /// retry/degradation demand path, so answers are byte-identical with
+    /// the window on or off.
     int max_in_flight = 0;
-
-    /// Landing mailbox for service-pool background prefetch results; the
-    /// buffer drains it at each command start through the validated
-    /// ApplyPushedFill path and closes it on destruction (cancellation:
-    /// post-close deliveries are dropped by the mailbox, never touching
-    /// freed memory).
-    std::shared_ptr<PushMailbox> mailbox;
-
-    /// Real-prefetch handoff: when set, Prefetch() forwards up to
-    /// prefetch_per_command outstanding hole ids here (the service-layer
-    /// BackgroundPrefetcher) instead of filling synchronously.
-    std::function<void(std::vector<std::string>)> prefetch_sink;
   };
 
   /// `wrapper` is not owned and must outlive the buffer.
@@ -141,8 +117,7 @@ class BufferComponent : public Navigable {
   BufferComponent(LxpWrapper* wrapper, std::string uri)
       : BufferComponent(wrapper, std::move(uri), Options()) {}
 
-  /// Closes the mailbox (dropping in-flight background deliveries) and
-  /// abandons outstanding readahead futures — their completions hold their
+  /// Abandons outstanding readahead futures — their completions hold their
   /// own shared state, so no exchange dangles into freed memory.
   ~BufferComponent() override;
 
@@ -163,18 +138,7 @@ class BufferComponent : public Navigable {
   void FetchSubtree(const NodeId& p, int64_t depth,
                     std::vector<SubtreeEntry>* out) override;
 
-  /// Wrapper-initiated (push) fill — the asynchronous LXP variant of
-  /// Section 4: "the wrapper can prefetch data from the source and fill
-  /// in previously left open holes at the buffer". Splices `fragments`
-  /// into the outstanding hole `hole_id`; returns false when that hole is
-  /// unknown or was already filled, or when the fragments violate the fill
-  /// validity conditions (a malformed push is simply dropped, as a corrupt
-  /// network message would be). Traffic is charged to the prefetch
-  /// channel (it overlaps client think time), never to the demand path.
-  bool ApplyPushedFill(const std::string& hole_id,
-                       const FragmentList& fragments);
-
-  /// Number of fills successfully applied so far (demand + prefetch).
+  /// Number of fills successfully applied so far (demand + readahead).
   int64_t fill_count() const { return fill_count_; }
   /// Elements currently materialized in the open tree.
   int64_t nodes_buffered() const { return nodes_buffered_; }
@@ -215,23 +179,23 @@ class BufferComponent : public Navigable {
     /// wire. Zero when Options::source_cache is null.
     int64_t cache_hits = 0;
     int64_t cache_misses = 0;
-    /// Async engine: readahead exchanges put in flight, holes answered
-    /// from a completed flight, flights that had to fall back to the sync
-    /// demand path (failure/staleness/deadline), and background-prefetch
-    /// deliveries applied/dropped from the mailbox.
+    /// Readahead window: exchanges put in flight, holes answered from a
+    /// completed flight, and flights that had to fall back to the sync
+    /// demand path (failure/staleness/deadline).
     int64_t readahead_issued = 0;
     int64_t readahead_hits = 0;
     int64_t readahead_fallbacks = 0;
-    int64_t pushed_applied = 0;
-    int64_t pushed_dropped = 0;
   };
   Stats stats() const {
-    return {fill_count_,        nodes_buffered_,  holes_outstanding_,
-            faults_,            retries_,         backoff_ns_,
-            degraded_holes_,    cache_hits_,      cache_misses_,
-            readahead_issued_,  readahead_hits_,  readahead_fallbacks_,
-            pushed_applied_,    pushed_dropped_};
+    return {fill_count_,       nodes_buffered_, holes_outstanding_,
+            faults_,           retries_,        backoff_ns_,
+            degraded_holes_,   cache_hits_,     cache_misses_,
+            readahead_issued_, readahead_hits_, readahead_fallbacks_};
   }
+
+  /// Holes queued for the readahead window (always 0 when
+  /// Options::max_in_flight is 0: nothing would ever drain the queue).
+  size_t readahead_queue_size() const { return hole_queue_.size(); }
 
   /// Term rendering of the current open tree (root list), holes included —
   /// lets tests assert the refinement sequence of Ex. 7.
@@ -268,8 +232,9 @@ class BufferComponent : public Navigable {
                            const std::set<std::string>* consumed) const;
   /// One complete fill response for a single hole.
   Status ValidateFill(const FragmentList& fragments) const;
-  /// One complete FillMany response: every entry refines a known hole at
-  /// most once, every requested hole is answered, every fragment list is
+  /// One complete FillMany response: every entry refines, at most once,
+  /// either a requested hole or a continuation hole an earlier entry
+  /// introduced; every requested hole is answered; every fragment list is
   /// valid. Rejecting here is what keeps a malicious remote source from
   /// aborting mixd (the old MIX_CHECKs) — the batch is applied only after
   /// it validated as a whole.
@@ -277,13 +242,13 @@ class BufferComponent : public Navigable {
                        const HoleFillList& fills) const;
 
   // --- Status-returning fill internals ---
-  /// Runs one wrapper exchange under the retry policy; demand exchanges
-  /// (background=false) charge backoff to Options::clock and respect the
-  /// command deadline. Folds the outcome into the fault counters.
-  Status RunWithRetry(bool background, const std::function<Status()>& op);
-  Status FillHole(BNode* hole, bool background);
+  /// Runs one wrapper exchange under the retry policy, charging backoff to
+  /// Options::clock and respecting the command deadline. Folds the outcome
+  /// into the fault counters.
+  Status RunWithRetry(const std::function<Status()>& op);
+  Status FillHole(BNode* hole);
   Status FillHolesBatch(const std::vector<BNode*>& holes,
-                        const FillBudget& budget, bool background);
+                        const FillBudget& budget);
   /// Batch-fills until `parent`'s child list contains no holes (degraded
   /// holes count as done). Returns the first error; stops early only on
   /// kDeadlineExceeded (nothing was degraded, so looping cannot progress).
@@ -303,7 +268,6 @@ class BufferComponent : public Navigable {
   /// Publishes a validated+spliced fill to the shared cache (no-op without
   /// one). Never called for degraded splices.
   void PublishFill(const std::string& hole_id, FragmentList fragments);
-  void Prefetch(bool had_demand_fill);
   /// Tops the readahead window up: draws outstanding holes from the FIFO
   /// and puts single-hole BeginFillMany exchanges in flight until
   /// Options::max_in_flight are pending. Single-hole flights maximize
@@ -316,9 +280,6 @@ class BufferComponent : public Navigable {
   /// path as a demand batch. False → caller falls back to the sync demand
   /// path (which owns retry/degradation semantics).
   bool ConsumeInflight(BNode* hole);
-  /// Applies every pending mailbox delivery (validated push splices);
-  /// called at each command start, before navigation resolves.
-  void DrainPushed();
   /// Bootstraps the root hole. Never fails hard: a get_root that exhausts
   /// its retries degrades the whole view to one unavailable root node (the
   /// returned Status carries the cause for latching).
@@ -338,7 +299,7 @@ class BufferComponent : public Navigable {
   BNode* Resolve(const NodeId& p) const;
   static Status BadIdStatus();
   NodeId MakeId(const BNode* n) const;
-  void Charge(int64_t request_bytes, int64_t response_bytes, bool background);
+  void Charge(int64_t request_bytes, int64_t response_bytes);
   std::string TermOf(const BNode* n) const;
 
   LxpWrapper* wrapper_;
@@ -352,9 +313,10 @@ class BufferComponent : public Navigable {
   BNode* super_root_ = nullptr;  ///< sentinel; its children are the root list.
   bool initialized_ = false;
 
-  /// FIFO of outstanding hole indices for the prefetcher.
+  /// FIFO of outstanding hole indices for the readahead window; only fed
+  /// when Options::max_in_flight > 0.
   std::deque<int64_t> hole_queue_;
-  /// Outstanding holes by wrapper id (for push fills).
+  /// Outstanding holes by wrapper id (batch entries and freshness checks).
   std::map<std::string, int64_t> hole_by_id_;
   /// In-flight readahead exchanges by requested hole id. Entries are
   /// erased when consumed, or when the hole is filled/degraded by another
@@ -373,13 +335,9 @@ class BufferComponent : public Navigable {
   int64_t readahead_issued_ = 0;
   int64_t readahead_hits_ = 0;
   int64_t readahead_fallbacks_ = 0;
-  int64_t pushed_applied_ = 0;
-  int64_t pushed_dropped_ = 0;
   /// Absolute virtual deadline for demand fills (-1: none).
   int64_t fill_deadline_ns_ = -1;
   Status last_status_;
-  /// True while the current client command has triggered a demand fill.
-  bool demand_fill_in_command_ = false;
 };
 
 }  // namespace mix::buffer

@@ -148,7 +148,7 @@ HoleFillList LxpWrapper::ChaseFills(const std::vector<std::string>& holes,
   };
   for (const std::string& id : holes) serve(id);
   // Grow fill sizes only on demand chases: a fill-bounded chase is the
-  // prefetcher speculating, and its budget is counted in fills.
+  // readahead speculating, and its budget is counted in fills.
   const bool adaptive = budget.fills < 0;
   int64_t hint = 0;
   while (!pending.empty() &&

@@ -81,7 +81,7 @@ struct FillBudget {
   int64_t elements = -1;
   /// Stop chasing once this many fills have been performed (the requested
   /// holes always count, and are always all served) — speculation depth:
-  /// "run at most k fills ahead", the prefetcher's budget.
+  /// "run at most k fills ahead" (a readahead flight asks for exactly 1).
   int64_t fills = -1;
 };
 
@@ -191,7 +191,7 @@ class LxpWrapper {
   /// continued fill, capped by the remaining element budget and
   /// kMaxFillSizeHint) and offers it to the wrapper via SetFillSizeHint
   /// before each continuation fill. Demand chases only: a fill-bounded
-  /// (speculative/prefetch) chase keeps the wrapper's configured chunk, so
+  /// (speculative/readahead) chase keeps the wrapper's configured chunk, so
   /// a speculation budget of k fills cannot balloon into k oversized ones.
   HoleFillList ChaseFills(const std::vector<std::string>& holes,
                           const FillBudget& budget);

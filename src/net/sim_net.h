@@ -40,10 +40,9 @@ inline int64_t SaturatingMul(int64_t a, int64_t b) {
 /// Monotonic virtual clock, advanced by simulated activity. Saturates at
 /// INT64_MAX instead of wrapping (negative advances are clamped to 0).
 ///
-/// Thread-safe: background prefetch workers charge their own channels (and
-/// through them, clocks) concurrently with the demand path, so the counter
-/// is atomic and Advance is a CAS loop (plain fetch_add could wrap past the
-/// saturation point).
+/// Thread-safe: the counter is atomic and Advance is a CAS loop (plain
+/// fetch_add could wrap past the saturation point), so concurrent advances
+/// and reads never race.
 class SimClock {
  public:
   int64_t now_ns() const { return now_ns_.load(std::memory_order_relaxed); }
@@ -88,14 +87,13 @@ struct ChannelStats {
 /// the stats. A request/response exchange is two Sends.
 ///
 /// A null SimClock is explicitly supported: the channel still counts
-/// messages/bytes/busy time, it just cannot advance a shared clock. This is
-/// how background (prefetch) channels model traffic that overlaps client
-/// think time instead of adding latency to the demand path.
+/// messages/bytes/busy time, it just cannot advance a shared clock — an
+/// accounting-only link.
 ///
-/// Thread-safe: counters are atomics so the real background prefetcher can
-/// charge a channel concurrently with the demand path; `stats()` therefore
-/// returns a snapshot by value (individual counters are each consistent;
-/// cross-counter invariants may be mid-update under concurrent senders).
+/// Thread-safe: counters are atomics so concurrent senders never race;
+/// `stats()` therefore returns a snapshot by value (individual counters are
+/// each consistent; cross-counter invariants may be mid-update under
+/// concurrent senders).
 class Channel {
  public:
   Channel(SimClock* clock, ChannelOptions options)

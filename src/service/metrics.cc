@@ -80,9 +80,7 @@ std::string SessionMetrics::ToString() const {
          " plan{rewrites=" + std::to_string(plan_rewrites) + "}" +
          " async{readahead=" + std::to_string(readahead_issued) +
          " hits=" + std::to_string(readahead_hits) +
-         " fallbacks=" + std::to_string(readahead_fallbacks) +
-         " pushed=" + std::to_string(pushed_applied) +
-         " pushed_dropped=" + std::to_string(pushed_dropped) + "}" +
+         " fallbacks=" + std::to_string(readahead_fallbacks) + "}" +
          " view_served=" + std::to_string(view_served);
 }
 
@@ -146,14 +144,6 @@ std::string ServiceMetricsSnapshot::ToString() const {
          " bytes=" + std::to_string(view_bytes) +
          " entries=" + std::to_string(view_entries) + "}" +
          " view_rejects{" + PassCounters(view_rejects) + "}" +
-         " prefetch{jobs=" + std::to_string(prefetch_jobs) +
-         " dropped=" + std::to_string(prefetch_jobs_dropped) +
-         " exchanges=" + std::to_string(prefetch_exchanges) +
-         " fills=" + std::to_string(prefetch_fills) +
-         " published=" + std::to_string(prefetch_published) +
-         " delivered=" + std::to_string(prefetch_delivered) +
-         " skipped=" + std::to_string(prefetch_skipped_cached) +
-         " failures=" + std::to_string(prefetch_failures) + "}" +
          " net{" + net.ToString() + "}";
 }
 

@@ -64,14 +64,11 @@ struct SessionMetrics {
   /// 1 when this session is served from a cached answer view (zero
   /// wrapper exchanges by construction).
   int64_t view_served = 0;
-  /// Async fill engine (DESIGN.md §4): readahead flights issued / consumed
-  /// / fallen back to the demand path, and background-pushed fills applied
-  /// / dropped (stale or superseded) at command boundaries.
+  /// Readahead window (DESIGN.md §4 "Async fill engine"): flights issued
+  /// / consumed / fallen back to the demand path.
   int64_t readahead_issued = 0;
   int64_t readahead_hits = 0;
   int64_t readahead_fallbacks = 0;
-  int64_t pushed_applied = 0;
-  int64_t pushed_dropped = 0;
 
   std::string ToString() const;
 };
@@ -171,16 +168,6 @@ struct ServiceMetricsSnapshot {
   int64_t view_entries = 0;
   /// Subsumption/publish reject counts by reason, name-sorted.
   std::vector<std::pair<std::string, int64_t>> view_rejects;
-  // Background prefetcher (service-wide worker pool; all zeros when
-  // Options::prefetch_workers == 0).
-  int64_t prefetch_jobs = 0;
-  int64_t prefetch_jobs_dropped = 0;
-  int64_t prefetch_exchanges = 0;
-  int64_t prefetch_fills = 0;
-  int64_t prefetch_published = 0;
-  int64_t prefetch_delivered = 0;
-  int64_t prefetch_skipped_cached = 0;
-  int64_t prefetch_failures = 0;
   // Real network transport hosting this service (all zeros when the service
   // is reached in-process or through the sim channel only).
   NetStats net;

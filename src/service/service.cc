@@ -105,16 +105,6 @@ mediator::PlanCache::Options PlanCacheOptions(
   return o;
 }
 
-/// Registry hook -> prefetcher pool; empty when the pool is off.
-PrefetchDispatch MakePrefetchDispatch(BackgroundPrefetcher* pool) {
-  if (pool == nullptr) return {};
-  return [pool](const std::string& source, int64_t generation,
-                std::vector<std::string> holes,
-                std::shared_ptr<buffer::PushMailbox> mailbox) {
-    pool->Submit(source, generation, std::move(holes), std::move(mailbox));
-  };
-}
-
 }  // namespace
 
 MediatorService::MediatorService(const SessionEnvironment* env, Options options)
@@ -125,15 +115,6 @@ MediatorService::MediatorService(const SessionEnvironment* env, Options options)
       plan_cache_(PlanCacheOptions(*env, options)),
       answer_view_cache_(mediator::AnswerViewCache::Options{
           options.answer_view_cache_bytes}),
-      prefetcher_(options.prefetch_workers > 0
-                      ? std::make_unique<BackgroundPrefetcher>(
-                            env,
-                            options.source_cache_bytes > 0 ? &source_cache_
-                                                           : nullptr,
-                            BackgroundPrefetcher::Options{
-                                options.prefetch_workers,
-                                options.prefetch_fills_per_job})
-                      : nullptr),
       registry_(env,
                 SessionRegistry::Options{
                     options.max_sessions, options.session_idle_ttl_ns,
@@ -143,8 +124,7 @@ MediatorService::MediatorService(const SessionEnvironment* env, Options options)
                     // The no-plan-cache path optimizes with the same config.
                     BuildOptimizerOptions(*env, options.optimizer_level),
                     options.answer_view_cache_bytes > 0 ? &answer_view_cache_
-                                                        : nullptr,
-                    MakePrefetchDispatch(prefetcher_.get())}),
+                                                        : nullptr}),
       wire_channel_(&wire_clock_, options.wire_costs),
       executor_(Executor::Options{options.workers, options.queue_capacity}) {
   uint64_t key = kWrapperKeyBase;
@@ -519,17 +499,6 @@ ServiceMetricsSnapshot MediatorService::Metrics() const {
   snap.view_bytes = views.bytes;
   snap.view_entries = views.entries;
   snap.view_rejects.assign(views.rejects.begin(), views.rejects.end());
-  if (prefetcher_ != nullptr) {
-    BackgroundPrefetcher::Stats pf = prefetcher_->stats();
-    snap.prefetch_jobs = pf.jobs_submitted;
-    snap.prefetch_jobs_dropped = pf.jobs_dropped;
-    snap.prefetch_exchanges = pf.exchanges;
-    snap.prefetch_fills = pf.fills;
-    snap.prefetch_published = pf.published;
-    snap.prefetch_delivered = pf.delivered;
-    snap.prefetch_skipped_cached = pf.skipped_cached;
-    snap.prefetch_failures = pf.failures;
-  }
   {
     std::lock_guard<std::mutex> lock(net_stats_mu_);
     if (net_stats_provider_) snap.net = net_stats_provider_();

@@ -32,7 +32,6 @@
 #include "net/sim_net.h"
 #include "service/executor.h"
 #include "service/metrics.h"
-#include "service/prefetcher.h"
 #include "service/session.h"
 #include "service/wire.h"
 
@@ -71,13 +70,6 @@ class MediatorService : public wire::FrameTransport {
     /// cache"); 0 disables it — every Open builds a live session. This is
     /// the E16 A/B knob.
     int64_t answer_view_cache_bytes = 0;
-    /// Worker threads of the background fill engine (DESIGN.md §4 "Async
-    /// fill engine"); 0 disables it — background_prefetch sources keep the
-    /// synchronous prefetch path. Pair with source_cache_bytes > 0 so
-    /// background fills warm every session, not just the submitter.
-    int prefetch_workers = 0;
-    /// Per-job chase budget of a background fill (FillBudget::fills).
-    int64_t prefetch_fills_per_job = 8;
   };
 
   /// `env` is not owned and must outlive the service; it must not be
@@ -134,9 +126,6 @@ class MediatorService : public wire::FrameTransport {
   /// The compiled-plan cache (valid whether or not it is enabled).
   mediator::PlanCache& plan_cache() { return plan_cache_; }
 
-  /// The background fill engine; nullptr when prefetch_workers == 0.
-  BackgroundPrefetcher* prefetcher() { return prefetcher_.get(); }
-
   /// Installs (or clears, with nullptr) the provider of the snapshot's
   /// net{...} section. A real network transport hosting this service (e.g.
   /// net::tcp::TcpServer) registers itself here so remote peers see
@@ -192,11 +181,6 @@ class MediatorService : public wire::FrameTransport {
   /// Before registry_: view-served sessions hold snapshot shared_ptrs, but
   /// the registry's Open path also reads the cache directly.
   mediator::AnswerViewCache answer_view_cache_;
-  /// Before registry_ too: sessions call the registry's prefetch_dispatch
-  /// (which targets this pool) while they live, so the pool must be built
-  /// first and torn down after the last session is gone. nullptr when
-  /// prefetch_workers == 0.
-  std::unique_ptr<BackgroundPrefetcher> prefetcher_;
   SessionRegistry registry_;
 
   mutable std::mutex net_stats_mu_;

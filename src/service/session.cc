@@ -105,8 +105,7 @@ Result<std::shared_ptr<Session>> Session::Build(
     uint64_t id, const SessionEnvironment& env,
     std::shared_ptr<const mediator::PlanNode> plan,
     net::FaultCounters* fault_counters, buffer::SourceCache* source_cache,
-    std::shared_ptr<const mediator::AnswerSnapshot> view_snapshot,
-    const PrefetchDispatch& prefetch_dispatch) {
+    std::shared_ptr<const mediator::AnswerSnapshot> view_snapshot) {
   // shared_ptr with private constructor: build through a local subclass.
   struct MakeShared : Session {};
   std::shared_ptr<Session> session = std::make_shared<MakeShared>();
@@ -160,10 +159,6 @@ Result<std::shared_ptr<Session>> Session::Build(
     }
     buffer::BufferComponent::Options opts;
     opts.channel = channel.get();
-    opts.prefetch_per_command = w.options.prefetch_per_command;
-    // Prefetch traffic, when enabled, is charged to the same per-session
-    // channel: a multi-session server has no separate "think time" lane.
-    opts.prefetch_channel = channel.get();
     opts.retry = w.options.retry;
     opts.retry_seed =
         (id * 0x9e3779b97f4a7c15ull) ^ (source_index + 0x72747279ull);
@@ -188,22 +183,6 @@ Result<std::shared_ptr<Session>> Session::Build(
       opts.cache_generation = source_cache->Generation(w.name);
     }
     opts.max_in_flight = w.options.max_in_flight;
-    if (prefetch_dispatch && w.options.background_prefetch && !overridden) {
-      // Background fills: prefetch candidates go to the service's worker
-      // pool instead of being filled synchronously between commands, and
-      // the results come back through the mailbox (spliced at the next
-      // command boundary) and the shared cache. Overridden views are
-      // excluded for the same hole-id-per-view reason as the cache above.
-      auto mailbox = std::make_shared<buffer::PushMailbox>();
-      opts.mailbox = mailbox;
-      int64_t generation =
-          opts.source_cache != nullptr ? opts.cache_generation : 0;
-      opts.prefetch_sink = [dispatch = prefetch_dispatch, source = w.name,
-                            generation,
-                            mailbox](std::vector<std::string> holes) {
-        dispatch(source, generation, std::move(holes), mailbox);
-      };
-    }
     ++source_index;
     auto buffer = std::make_unique<buffer::BufferComponent>(wrapper.get(),
                                                             uri, opts);
@@ -246,8 +225,6 @@ void Session::RefreshSourceMetrics() {
   metrics_.readahead_issued = 0;
   metrics_.readahead_hits = 0;
   metrics_.readahead_fallbacks = 0;
-  metrics_.pushed_applied = 0;
-  metrics_.pushed_dropped = 0;
   metrics_.lxp = net::ChannelStats();
   for (const auto& buffer : buffers_) {
     buffer::BufferComponent::Stats s = buffer->stats();
@@ -261,8 +238,6 @@ void Session::RefreshSourceMetrics() {
     metrics_.readahead_issued += s.readahead_issued;
     metrics_.readahead_hits += s.readahead_hits;
     metrics_.readahead_fallbacks += s.readahead_fallbacks;
-    metrics_.pushed_applied += s.pushed_applied;
-    metrics_.pushed_dropped += s.pushed_dropped;
   }
   for (const auto& channel : channels_) metrics_.lxp += channel->stats();
 }
@@ -367,8 +342,7 @@ Result<uint64_t> SessionRegistry::Open(const std::string& xmas_text,
   }
   Result<std::shared_ptr<Session>> session =
       Session::Build(id, *env_, std::move(plan), options_.fault_counters,
-                     options_.source_cache, snapshot,
-                     options_.prefetch_dispatch);
+                     options_.source_cache, snapshot);
   if (!session.ok()) return session.status();
   session.value()->metrics().plan_rewrites = plan_rewrites;
   if (snapshot == nullptr && options_.answer_view_cache != nullptr &&

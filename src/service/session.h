@@ -74,7 +74,6 @@ class SessionEnvironment {
   /// Fig. 7, multiplied by the number of clients.
   struct WrapperOptions {
     net::ChannelOptions channel;
-    int prefetch_per_command = 0;
     /// Retry discipline for this source's fills (default: no retry).
     net::RetryOptions retry;
     /// Fault injection applied to every session's wrapper instance for this
@@ -98,13 +97,6 @@ class SessionEnvironment {
     /// (BufferComponent::Options::max_in_flight); 0 = demand-only, the
     /// byte-identical baseline.
     int max_in_flight = 0;
-    /// Hand this source's prefetch candidates to the service's background
-    /// fill engine (effective only when the service runs prefetch workers;
-    /// also needs prefetch_per_command > 0 to produce candidates). Opt-in
-    /// per source because the workers fill on their OWN wrapper instance:
-    /// the source's hole ids must be stateless encodings of positions —
-    /// the same property cache_fills already requires.
-    bool background_prefetch = false;
   };
   void RegisterWrapperFactory(
       std::string name,
@@ -155,16 +147,6 @@ class SessionEnvironment {
   std::set<std::string> exported_concurrent_;
 };
 
-/// Hands a batch of prefetch candidates to a background fill engine:
-/// (source name, the session's pinned cache generation, hole ids, and the
-/// session buffer's mailbox for splice-on-next-command delivery). Supplied
-/// by the service layer (service/prefetcher.h); empty function = background
-/// prefetch off, sources fall back to the synchronous prefetch path.
-using PrefetchDispatch = std::function<void(
-    const std::string& source, int64_t generation,
-    std::vector<std::string> holes,
-    std::shared_ptr<buffer::PushMailbox> mailbox)>;
-
 /// One open session. Construction happens on a worker (plan compilation is
 /// part of the Open request); navigation state is only touched under the
 /// session's executor lane — on a worker, or on a thread that claimed the
@@ -193,8 +175,7 @@ class Session {
       std::shared_ptr<const mediator::PlanNode> plan,
       net::FaultCounters* fault_counters = nullptr,
       buffer::SourceCache* source_cache = nullptr,
-      std::shared_ptr<const mediator::AnswerSnapshot> view_snapshot = nullptr,
-      const PrefetchDispatch& prefetch_dispatch = {});
+      std::shared_ptr<const mediator::AnswerSnapshot> view_snapshot = nullptr);
 
   /// Convenience overload: compiles `xmas_text` directly (no plan cache).
   static Result<std::shared_ptr<Session>> Build(
@@ -336,9 +317,6 @@ class SessionRegistry {
     /// (nullptr or disabled: every Open builds a live session). Used
     /// OUTSIDE the registry lock, like the other caches.
     mediator::AnswerViewCache* answer_view_cache = nullptr;
-    /// Background fill engine hook handed to every session built (empty:
-    /// background_prefetch sources keep the synchronous prefetch path).
-    PrefetchDispatch prefetch_dispatch;
   };
 
   SessionRegistry(const SessionEnvironment* env, Options options)

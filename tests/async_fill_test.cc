@@ -1,28 +1,31 @@
 // Async fill engine tests (DESIGN.md §4 "Async fill engine"):
 //
-//   * FillFuture / PushMailbox primitives — first-writer-wins completion,
-//     inline callbacks, drop-after-close cancellation;
+//   * FillFuture primitives — first-writer-wins completion, inline
+//     callbacks;
 //   * readahead equivalence — a buffer with a concurrent readahead window
 //     materializes byte-identically to the demand-only baseline, on clean
-//     sources AND under the PR 4 fault matrix (p ∈ {0.05, 0.2} × seeds);
+//     sources AND under the fault matrix (p ∈ {0.05, 0.2} × seeds);
 //   * degraded holes stay isolated with readahead on;
+//   * a flight response that breaks the LXP protocol is rejected before
+//     any splice and falls back to the demand path;
 //   * TcpFrameTransport::RoundTripAsync — concurrent submissions complete
 //     exactly once, coalesce into pipelined batches, and teardown with ops
 //     pending fails them instead of dropping them;
-//   * the background prefetcher — fills land in the shared SourceCache and
-//     in the submitting session's mailbox, within the per-job budget;
+//   * closing a session with readahead flights outstanding over TCP;
 //   * thread-safe Channel/SimClock accounting under concurrent senders.
 //
 // The whole file is in the CI TSan run: it exercises every cross-thread
-// edge the engine added (dispatch thread vs. submitters, worker pool vs.
-// session navigation, concurrent channel charging).
+// edge the engine added (dispatch thread vs. submitters, flights abandoned
+// at session close, concurrent channel charging).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,7 +39,6 @@
 #include "net/sim_net.h"
 #include "net/tcp/tcp_server.h"
 #include "net/tcp/tcp_transport.h"
-#include "service/prefetcher.h"
 #include "service/service.h"
 #include "service/session.h"
 #include "service/wire.h"
@@ -55,8 +57,6 @@ using buffer::FragmentList;
 using buffer::HoleFill;
 using buffer::HoleFillList;
 using buffer::LxpWrapper;
-using buffer::PushedFill;
-using buffer::PushMailbox;
 using buffer::ScriptedLxpWrapper;
 using client::FramedDocument;
 using net::tcp::TcpFrameTransport;
@@ -89,7 +89,7 @@ const char* kExpectedAnswer =
     "med_home[home[addr[El Cajon],zip[91223]],school[dir[Hart],zip[91223]]]]";
 
 /// A wide homes document (`n` homes, distinct addresses) — enough children
-/// that chunked fills leave a deep hole queue for readahead/prefetch.
+/// that chunked fills leave a deep hole queue for readahead.
 std::string WideHomesTerm(int n) {
   std::string term = "homes[";
   for (int i = 0; i < n; ++i) {
@@ -102,14 +102,14 @@ std::string WideHomesTerm(int n) {
 }
 
 /// Single-source scan of every home — navigation demand-fills incrementally,
-/// so prefetch/readahead actually have holes to run ahead on.
+/// so readahead actually has holes to run ahead on.
 const char* kScanQuery = R"(
 CONSTRUCT <all> $H {$H} </all> {}
 WHERE homesSrc homes.home $H
 )";
 
 // ---------------------------------------------------------------------------
-// Primitives: FillFuture and PushMailbox.
+// Primitives: FillFuture.
 // ---------------------------------------------------------------------------
 
 TEST(FillFutureTest, FirstCompletionWinsAndWaitMovesOnce) {
@@ -186,30 +186,6 @@ TEST(FillFutureTest, CallbackKeepsResponseWhileWaiterTakesIt) {
   EXPECT_TRUE(waiter_done.load());
   EXPECT_EQ(taken.size(), 16u);
   EXPECT_EQ(callback_saw, 16u);
-}
-
-TEST(PushMailboxTest, CloseDropsLaterDeliveries) {
-  PushMailbox box;
-  EXPECT_TRUE(box.Deliver(PushedFill{"h1", {Fragment::Element("a")}}));
-  EXPECT_EQ(box.delivered(), 1);
-
-  box.Close();
-  box.Close();  // idempotent
-  EXPECT_TRUE(box.closed());
-  EXPECT_FALSE(box.Deliver(PushedFill{"h2", {}}));
-  EXPECT_EQ(box.dropped(), 1);
-  // Pending deliveries were discarded with the close.
-  EXPECT_TRUE(box.Drain().empty());
-}
-
-TEST(PushMailboxTest, BoundsPendingDeliveries) {
-  PushMailbox box;
-  for (size_t i = 0; i < PushMailbox::kMaxPending; ++i) {
-    EXPECT_TRUE(box.Deliver(PushedFill{"h" + std::to_string(i), {}}));
-  }
-  EXPECT_FALSE(box.Deliver(PushedFill{"overflow", {}}));
-  EXPECT_EQ(box.Drain().size(), PushMailbox::kMaxPending);
-  EXPECT_TRUE(box.Deliver(PushedFill{"after-drain", {}}));
 }
 
 // ---------------------------------------------------------------------------
@@ -380,6 +356,131 @@ TEST(ReadaheadTest, DegradedHoleStaysIsolatedWithReadahead) {
   EXPECT_FALSE(buf.TakeStatus().ok());
 }
 
+/// r[a0[v0],a1[v1],a2[v2],a3[v3]] served in continuation chunks: fill c<i>
+/// answers a<i> (whose child is the hole d<i>) plus the continuation hole
+/// c<i+1>.
+ScriptedLxpWrapper MakeChunkedScript() {
+  constexpr int kItems = 4;
+  std::map<std::string, FragmentList> fills;
+  for (int i = 0; i < kItems; ++i) {
+    const std::string n = std::to_string(i);
+    FragmentList chunk = {Fragment::Element("a" + n, {Fragment::Hole("d" + n)})};
+    if (i + 1 < kItems) {
+      chunk.push_back(Fragment::Hole("c" + std::to_string(i + 1)));
+    }
+    fills["c" + n] = i == 0 ? FragmentList{Fragment::Element("r", chunk)}
+                            : chunk;
+    fills["d" + n] = {Fragment::Element("v" + n)};
+  }
+  return ScriptedLxpWrapper("c0", std::move(fills));
+}
+
+enum class BadFlight { kAdjacentHoles, kReusedOpenTreeId, kUnrequestedEntry };
+
+/// Answers every readahead flight (a BeginFillMany with a one-fill budget)
+/// with a response that breaks the LXP protocol; demand exchanges reach the
+/// inner wrapper untouched.
+class BadFlightWrapper : public LxpWrapper {
+ public:
+  BadFlightWrapper(LxpWrapper* inner, BadFlight mode)
+      : inner_(inner), mode_(mode) {}
+
+  std::string GetRoot(const std::string& uri) override {
+    return inner_->GetRoot(uri);
+  }
+  FragmentList Fill(const std::string& hole_id) override {
+    return inner_->Fill(hole_id);
+  }
+  Status TryFill(const std::string& hole_id, FragmentList* out) override {
+    return inner_->TryFill(hole_id, out);
+  }
+  Status TryFillMany(const std::vector<std::string>& holes,
+                     const FillBudget& budget, HoleFillList* out) override {
+    return inner_->TryFillMany(holes, budget, out);
+  }
+  std::shared_ptr<FillFuture> BeginFillMany(
+      const std::vector<std::string>& holes,
+      const FillBudget& budget) override {
+    if (budget.fills != 1) return inner_->BeginFillMany(holes, budget);
+    const std::string& id = holes.front();
+    HoleFillList bad;
+    switch (mode_) {
+      case BadFlight::kAdjacentHoles:
+        bad.push_back(HoleFill{id, {Fragment::Element("x"), Fragment::Hole("z1"),
+                                    Fragment::Hole("z2")}});
+        break;
+      case BadFlight::kReusedOpenTreeId:
+        // The requested hole stays in the open tree until its entry splices.
+        bad.push_back(HoleFill{id, {Fragment::Element("x"), Fragment::Hole(id)}});
+        break;
+      case BadFlight::kUnrequestedEntry: {
+        // A correct entry, then one for a hole nobody asked for: for d<i>
+        // that is c<i+1>, still outstanding in the open tree when the
+        // flight lands (the walk descends before it moves right).
+        FragmentList good;
+        EXPECT_TRUE(inner_->TryFill(id, &good).ok());
+        bad.push_back(HoleFill{id, std::move(good)});
+        const std::string other =
+            id[0] == 'd' ? "c" + std::to_string(std::stoi(id.substr(1)) + 1)
+                         : "ghost";
+        bad.push_back(HoleFill{other, {Fragment::Element("bogus")}});
+        break;
+      }
+    }
+    return FillFuture::Resolved(Status::OK(), std::move(bad));
+  }
+
+ private:
+  LxpWrapper* inner_;
+  BadFlight mode_;
+};
+
+/// Explores the whole view with single-node d/r commands (down before
+/// right) and records the open tree after each one.
+std::vector<std::string> OpenTreeTrace(BufferComponent* buf) {
+  std::vector<std::string> trace;
+  std::vector<NodeId> stack = {buf->Root()};
+  trace.push_back(buf->OpenTreeTerm());
+  while (!stack.empty()) {
+    NodeId n = stack.back();
+    stack.pop_back();
+    std::optional<NodeId> down = buf->Down(n);
+    trace.push_back(buf->OpenTreeTerm());
+    std::optional<NodeId> right = buf->Right(n);
+    trace.push_back(buf->OpenTreeTerm());
+    if (right.has_value()) stack.push_back(*right);
+    if (down.has_value()) stack.push_back(*down);
+  }
+  return trace;
+}
+
+TEST(ReadaheadTest, ProtocolBreakingFlightIsRejectedBeforeSplice) {
+  ScriptedLxpWrapper clean = MakeChunkedScript();
+  BufferComponent baseline(&clean, "u");
+  const std::vector<std::string> expected = OpenTreeTrace(&baseline);
+  ASSERT_EQ(expected.back(), "[r[a0[v0],a1[v1],a2[v2],a3[v3]]]");
+
+  for (BadFlight mode : {BadFlight::kAdjacentHoles,
+                         BadFlight::kReusedOpenTreeId,
+                         BadFlight::kUnrequestedEntry}) {
+    ScriptedLxpWrapper inner = MakeChunkedScript();
+    BadFlightWrapper wrapper(&inner, mode);
+    BufferComponent::Options opts;
+    opts.max_in_flight = 2;
+    BufferComponent buf(&wrapper, "u", opts);
+    // After every command the open tree equals the window-0 one: no flight
+    // splices anything, the demand path answers each hole instead.
+    EXPECT_EQ(OpenTreeTrace(&buf), expected)
+        << "mode=" << static_cast<int>(mode);
+    BufferComponent::Stats st = buf.stats();
+    EXPECT_EQ(st.readahead_hits, 0);
+    EXPECT_GT(st.readahead_fallbacks, 0);
+    EXPECT_EQ(st.fills, baseline.stats().fills);
+    EXPECT_EQ(st.degraded_holes, 0);
+    EXPECT_TRUE(buf.TakeStatus().ok());
+  }
+}
+
 TEST(ReadaheadTest, ServiceAnswerByteIdenticalWithPerSourceWindows) {
   auto homes = testing::Doc(kHomes);
   auto schools = testing::Doc(kSchools);
@@ -500,20 +601,27 @@ TEST(TcpAsyncTest, ConcurrentOpsCompleteExactlyOnceAndCoalesce) {
   server.Stop();
 }
 
-/// Internally locked wrapper, as required by concurrent export.
+/// Internally locked wrapper, as required by concurrent export. `delay`
+/// models a slow source: each exchange sleeps outside the lock, so
+/// concurrent exchanges overlap it.
 class LockedXmlWrapper : public buffer::LxpWrapper {
  public:
-  explicit LockedXmlWrapper(const xml::Document* doc) : inner_(doc) {}
+  explicit LockedXmlWrapper(const xml::Document* doc,
+                            std::chrono::microseconds delay = {})
+      : inner_(doc), delay_(delay) {}
   std::string GetRoot(const std::string& uri) override {
+    std::this_thread::sleep_for(delay_);
     std::lock_guard<std::mutex> lock(mu_);
     return inner_.GetRoot(uri);
   }
   buffer::FragmentList Fill(const std::string& hole_id) override {
+    std::this_thread::sleep_for(delay_);
     std::lock_guard<std::mutex> lock(mu_);
     return inner_.Fill(hole_id);
   }
   buffer::HoleFillList FillMany(const std::vector<std::string>& holes,
                                 const buffer::FillBudget& budget) override {
+    std::this_thread::sleep_for(delay_);
     std::lock_guard<std::mutex> lock(mu_);
     return inner_.FillMany(holes, budget);
   }
@@ -521,6 +629,7 @@ class LockedXmlWrapper : public buffer::LxpWrapper {
  private:
   std::mutex mu_;
   wrappers::XmlLxpWrapper inner_;
+  std::chrono::microseconds delay_;
 };
 
 TEST(TcpAsyncTest, ConcurrentExportStaysByteIdentical) {
@@ -574,99 +683,98 @@ TEST(TcpAsyncTest, DestructionFailsPendingOpsExactlyOnce) {
   EXPECT_EQ(completions.load(), 8);
 }
 
-// ---------------------------------------------------------------------------
-// Background prefetcher: fills land in cache + mailbox within budget.
-// ---------------------------------------------------------------------------
+/// An LXP source behind its own TCP connection — the per-session wrapper a
+/// mediator builds for a source another mixd exports.
+class RemoteLxpWrapper : public LxpWrapper {
+ public:
+  RemoteLxpWrapper(const TcpTransportOptions& options, const std::string& uri)
+      : transport_(options), stub_(&transport_, uri) {}
 
-TEST(BackgroundPrefetchTest, FillsLandInCacheAndMailbox) {
+  std::string GetRoot(const std::string& uri) override {
+    return stub_.GetRoot(uri);
+  }
+  FragmentList Fill(const std::string& hole_id) override {
+    return stub_.Fill(hole_id);
+  }
+  Status TryGetRoot(const std::string& uri, std::string* out) override {
+    return stub_.TryGetRoot(uri, out);
+  }
+  Status TryFill(const std::string& hole_id, FragmentList* out) override {
+    return stub_.TryFill(hole_id, out);
+  }
+  Status TryFillMany(const std::vector<std::string>& holes,
+                     const FillBudget& budget, HoleFillList* out) override {
+    return stub_.TryFillMany(holes, budget, out);
+  }
+  std::shared_ptr<FillFuture> BeginFillMany(
+      const std::vector<std::string>& holes,
+      const FillBudget& budget) override {
+    return stub_.BeginFillMany(holes, budget);
+  }
+
+ private:
+  TcpFrameTransport transport_;
+  wire::FramedLxpWrapper stub_;
+};
+
+TEST(TcpAsyncTest, SessionCloseCancelsFlightsCleanly) {
+  // A slow remote source keeps readahead flights in the air when the
+  // session closes: the buffer abandons them, the transport completes or
+  // fails them into their own shared state, and nothing touches the
+  // destroyed session (ASan watches the lifetimes, TSan the threads).
   auto homes = testing::Doc(WideHomesTerm(40));
-  SessionEnvironment env;
-  SessionEnvironment::WrapperOptions wo;
-  wo.prefetch_per_command = 6;
-  wo.background_prefetch = true;
-  env.RegisterWrapperFactory(
-      "homesSrc",
-      [&homes] { return std::make_unique<wrappers::XmlLxpWrapper>(homes.get()); },
-      "homes.xml", wo);
+  LockedXmlWrapper slow(homes.get(), std::chrono::milliseconds(2));
+  SessionEnvironment backend_env;
+  backend_env.ExportWrapper("homes.xml", &slow, /*concurrent=*/true);
+  MediatorService::Options backend_opts;
+  backend_opts.workers = 4;
+  MediatorService backend(&backend_env, backend_opts);
+  TcpServer server(&backend, {});
+  ASSERT_TRUE(server.Start().ok());
 
-  MediatorService::Options sopts;
-  sopts.source_cache_bytes = 4 << 20;
-  sopts.prefetch_workers = 2;
-  sopts.prefetch_fills_per_job = 8;
-  MediatorService service(&env, sopts);
-  ASSERT_NE(service.prefetcher(), nullptr);
-
-  // Baseline answer from a prefetcher-less service over the same source.
   std::string expected;
   {
-    MediatorService plain(&env, {});
-    auto doc = FramedDocument::Open(&plain, kScanQuery).ValueOrDie();
+    SessionEnvironment local_env;
+    local_env.RegisterWrapperFactory(
+        "homesSrc",
+        [&homes] {
+          return std::make_unique<wrappers::XmlLxpWrapper>(homes.get());
+        },
+        "homes.xml");
+    MediatorService local(&local_env, {});
+    auto doc = FramedDocument::Open(&local, kScanQuery).ValueOrDie();
     expected = testing::MaterializeToTerm(doc.get());
   }
 
-  auto doc = FramedDocument::Open(&service, kScanQuery).ValueOrDie();
-  // Touch the first answer element only: the demand path fills a chunk,
-  // the prefetch sink hands the leftover holes to the worker pool.
-  NodeId root = doc->Root();
-  ASSERT_TRUE(root.valid());
-  ASSERT_TRUE(doc->Down(root).has_value());
-  service.prefetcher()->Drain();
-
-  ServiceMetricsSnapshot snap = service.Metrics();
-  EXPECT_GT(snap.prefetch_jobs, 0);
-  EXPECT_GT(snap.prefetch_exchanges, 0);
-  EXPECT_GT(snap.prefetch_fills, 0);
-  EXPECT_GT(snap.prefetch_published, 0);   // SourceCache got warmed
-  EXPECT_GT(snap.prefetch_delivered, 0);   // the session mailbox too
-  EXPECT_EQ(snap.prefetch_failures, 0);
-  // Budget: one exchange per job, chase bounded by fills_per_job.
-  EXPECT_LE(snap.prefetch_exchanges, snap.prefetch_jobs);
-  EXPECT_LE(snap.prefetch_fills,
-            snap.prefetch_exchanges * sopts.prefetch_fills_per_job);
-  EXPECT_NE(snap.ToString().find("prefetch{"), std::string::npos);
-
-  // The rest of the dialogue is byte-identical — background fills only
-  // relocate work, never change answers — and some of it was served from
-  // the pushed/cached results instead of demand exchanges.
-  EXPECT_EQ(testing::MaterializeToTerm(doc.get()), expected);
-  auto session = service.registry().Find(doc->session_id());
-  ASSERT_NE(session, nullptr);
-  session->RefreshSourceMetrics();
-  EXPECT_GT(session->metrics().pushed_applied + session->metrics().cache_hits,
-            0);
-}
-
-TEST(BackgroundPrefetchTest, SessionCloseCancelsCleanly) {
-  auto homes = testing::Doc(WideHomesTerm(40));
+  TcpTransportOptions copts;
+  copts.port = server.port();
   SessionEnvironment env;
   SessionEnvironment::WrapperOptions wo;
-  wo.prefetch_per_command = 6;
-  wo.background_prefetch = true;
+  wo.max_in_flight = 4;
   env.RegisterWrapperFactory(
       "homesSrc",
-      [&homes] { return std::make_unique<wrappers::XmlLxpWrapper>(homes.get()); },
+      [copts] { return std::make_unique<RemoteLxpWrapper>(copts, "homes.xml"); },
       "homes.xml", wo);
+  MediatorService service(&env, {});
 
-  MediatorService::Options sopts;
-  sopts.source_cache_bytes = 4 << 20;
-  sopts.prefetch_workers = 2;
-  MediatorService service(&env, sopts);
-
-  // Open, navigate one step (queues background jobs), close immediately —
-  // the workers may still be filling. Deliveries into the closed mailbox
-  // are dropped on the floor; nothing touches the destroyed session (ASan
-  // guards the lifetime, this test guards the counters).
   for (int round = 0; round < 4; ++round) {
     auto doc = FramedDocument::Open(&service, kScanQuery).ValueOrDie();
     NodeId root = doc->Root();
     ASSERT_TRUE(root.valid());
     ASSERT_TRUE(doc->Down(root).has_value());
+    auto session = service.registry().Find(doc->session_id());
+    ASSERT_NE(session, nullptr);
+    session->RefreshSourceMetrics();
+    const SessionMetrics& m = session->metrics();
+    // Flights are outstanding: issued but neither consumed nor fallen back.
+    EXPECT_GT(m.readahead_issued, m.readahead_hits + m.readahead_fallbacks);
+    session.reset();
     EXPECT_TRUE(service.registry().Close(doc->session_id()).ok());
   }
-  service.prefetcher()->Drain();
-  ServiceMetricsSnapshot snap = service.Metrics();
-  EXPECT_GT(snap.prefetch_jobs, 0);
-  EXPECT_EQ(snap.prefetch_failures, 0);
+  auto doc = FramedDocument::Open(&service, kScanQuery).ValueOrDie();
+  EXPECT_EQ(testing::MaterializeToTerm(doc.get()), expected);
+  EXPECT_TRUE(doc->last_status().ok());
+  server.Stop();
 }
 
 // ---------------------------------------------------------------------------

@@ -138,24 +138,15 @@ TEST(BufferTest, ChannelAccounting) {
   EXPECT_GT(clock.now_ns(), 0);
 }
 
-TEST(BufferTest, PrefetchFillsHolesInBackground) {
-  ScriptedLxpWrapper demand_wrapper = MakeExample7Wrapper();
-  BufferComponent plain(&demand_wrapper, "u");
-  plain.Root();
-  int64_t plain_fills = plain.fill_count();
-
-  ScriptedLxpWrapper prefetch_wrapper = MakeExample7Wrapper();
-  net::Channel background(nullptr, net::ChannelOptions{});
-  BufferComponent::Options options;
-  options.prefetch_per_command = 2;
-  options.prefetch_channel = &background;
-  BufferComponent prefetching(&prefetch_wrapper, "u", options);
-  prefetching.Root();
-
-  EXPECT_GT(prefetching.fill_count(), plain_fills);
-  EXPECT_GT(background.stats().messages, 0);
-  // Prefetching never changes what the client sees.
-  EXPECT_EQ(testing::MaterializeToTerm(&prefetching), "a[b[d,e],c]");
+TEST(BufferTest, NoReadaheadQueueWithoutWindow) {
+  // Only the readahead window drains the hole queue, so a window-0 buffer
+  // must not keep an entry for every hole it has ever seen.
+  ScriptedLxpWrapper wrapper = MakeExample7Wrapper();
+  BufferComponent buffer(&wrapper, "u");
+  EXPECT_EQ(testing::MaterializeToTerm(&buffer), "a[b[d,e],c]");
+  EXPECT_EQ(buffer.fill_count(), 7);  // h0..h6: every hole was filled
+  EXPECT_EQ(buffer.holes_outstanding(), 0);
+  EXPECT_EQ(buffer.readahead_queue_size(), 0u);
 }
 
 TEST(BufferTest, EmptyFillRemovesHole) {

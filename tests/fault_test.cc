@@ -616,35 +616,6 @@ TEST(ClientRetryTest, TransportFaultsAreRetriedToByteEquality) {
 }
 
 // ---------------------------------------------------------------------------
-// Pushed fills: malformed pushes are dropped like corrupt messages.
-// ---------------------------------------------------------------------------
-
-TEST(PushFillTest, MalformedPushedFillsAreDropped) {
-  std::map<std::string, FragmentList> fills;
-  fills["r"] = {Fragment::Element("a", {Fragment::Hole("h1")})};
-  ScriptedLxpWrapper wrapper("r", std::move(fills));
-  BufferComponent buf(&wrapper, "u");
-  NodeId a = buf.Root();
-  ASSERT_TRUE(a.valid());
-  ASSERT_EQ(buf.holes_outstanding(), 1);
-
-  // Unknown hole id.
-  EXPECT_FALSE(buf.ApplyPushedFill("nope", {Fragment::Element("x")}));
-  // Progress-condition violation (all-hole / adjacent holes).
-  EXPECT_FALSE(buf.ApplyPushedFill(
-      "h1", {Fragment::Hole("a1"), Fragment::Hole("a2")}));
-  // A dropped push neither latches an error nor touches the tree.
-  EXPECT_TRUE(buf.TakeStatus().ok());
-  EXPECT_EQ(buf.holes_outstanding(), 1);
-  EXPECT_EQ(buf.degraded_holes(), 0);
-
-  // A valid push still applies.
-  EXPECT_TRUE(buf.ApplyPushedFill("h1", {Fragment::Element("b")}));
-  EXPECT_EQ(buf.holes_outstanding(), 0);
-  EXPECT_EQ(testing::MaterializeToTerm(&buf), "a[b]");
-}
-
-// ---------------------------------------------------------------------------
 // Idle-TTL sweep from the command path.
 // ---------------------------------------------------------------------------
 
