@@ -8,8 +8,10 @@
 //     over the in-process wrapper (the sync shim: every flight has resolved
 //     before the next command starts, so the run is deterministic). The
 //     window sweep {0,1,2,4} reports how many fills the client had to wait
-//     for (demand_fills = fills - readahead_hits), how many a flight
-//     answered, how many flights went out, and the source pages read.
+//     for (demand_fills = fills - readahead_fills), how many fills the
+//     consumed flights carried and how many flights went out (a flight
+//     chases up to W pages along the continuation chain, at a slow-start
+//     depth of 1, 2, 4, ...), and the source pages read.
 //
 //   * BM_AsyncFillOverTcp (E19) — remote sources served over real TCP
 //     loopback by wrappers with a fixed per-exchange latency (250 µs — a
@@ -135,7 +137,9 @@ void BM_ReadaheadPagingWalk(benchmark::State& state) {
   }
   state.counters["window"] = static_cast<double>(window);
   state.counters["demand_fills"] =
-      static_cast<double>(stats.fills - stats.readahead_hits);
+      static_cast<double>(stats.fills - stats.readahead_fills);
+  state.counters["readahead_fills"] =
+      static_cast<double>(stats.readahead_fills);
   state.counters["readahead_hits"] = static_cast<double>(stats.readahead_hits);
   state.counters["readahead_issued"] =
       static_cast<double>(stats.readahead_issued);

@@ -148,7 +148,9 @@ HoleFillList LxpWrapper::ChaseFills(const std::vector<std::string>& holes,
   };
   for (const std::string& id : holes) serve(id);
   // Grow fill sizes only on demand chases: a fill-bounded chase is the
-  // readahead speculating, and its budget is counted in fills.
+  // readahead speculating, its budget is counted in fills, and its fills
+  // must cut the chain where one-fill exchanges do (same hole ids, same
+  // cache entries, whatever the buffer's chase depth).
   const bool adaptive = budget.fills < 0;
   int64_t hint = 0;
   while (!pending.empty() &&

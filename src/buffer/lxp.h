@@ -81,7 +81,9 @@ struct FillBudget {
   int64_t elements = -1;
   /// Stop chasing once this many fills have been performed (the requested
   /// holes always count, and are always all served) — speculation depth:
-  /// "run at most k fills ahead" (a readahead flight asks for exactly 1).
+  /// "run at most k fills ahead". A readahead flight asks for its buffer's
+  /// chase depth: 1 at first, doubling per consumed flight up to the
+  /// buffer's max_in_flight (buffer.h).
   int64_t fills = -1;
 };
 
@@ -192,7 +194,11 @@ class LxpWrapper {
   /// kMaxFillSizeHint) and offers it to the wrapper via SetFillSizeHint
   /// before each continuation fill. Demand chases only: a fill-bounded
   /// (speculative/readahead) chase keeps the wrapper's configured chunk, so
-  /// a speculation budget of k fills cannot balloon into k oversized ones.
+  /// a speculation budget of k fills cannot balloon into k oversized ones,
+  /// and its fills have the fragment boundaries — hence the hole ids — of
+  /// one-fill exchanges: a chased readahead flight splices exactly what a
+  /// window-0 buffer would, and its SourceCache entries serve sessions
+  /// with any window.
   HoleFillList ChaseFills(const std::vector<std::string>& holes,
                           const FillBudget& budget);
 

@@ -8,8 +8,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -717,6 +719,71 @@ TEST(ServiceTest, CacheStressManySessionsByteIdenticalUnderEviction) {
   // Concurrent first misses may each compile (first insert wins), so up to
   // kThreads opens can miss; everything after hits the shared plan.
   EXPECT_GE(snap.plan_cache_hits, kThreads * (kSessionsPerThread - 1));
+}
+
+// ---------------------------------------------------------------------------
+// LatencyHistogram: log-linear buckets quote p50/p99 within 12.5% of the
+// exact nearest-rank percentile.
+
+/// Records `samples` into a histogram (and, every other one, into `half`)
+/// and checks p50 and p99 against the exact percentiles.
+void ExpectPercentilesWithinEighth(std::vector<int64_t> samples,
+                                   const std::string& what) {
+  LatencyHistogram all;
+  LatencyHistogram even;
+  LatencyHistogram odd;
+  for (size_t i = 0; i < samples.size(); ++i) {
+    all.Record(samples[i]);
+    (i % 2 == 0 ? even : odd).Record(samples[i]);
+  }
+  std::sort(samples.begin(), samples.end());
+  even += odd;  // merges are bucket-wise, so exact
+  EXPECT_EQ(even.count(), all.count()) << what;
+  for (double p : {0.5, 0.99}) {
+    const int64_t exact = samples[static_cast<size_t>(
+        p * static_cast<double>(samples.size() - 1))];
+    const int64_t quoted = all.PercentileNs(p);
+    EXPECT_LE(std::abs(quoted - exact), exact / 8)
+        << what << " p=" << p << " exact=" << exact << " quoted=" << quoted;
+    EXPECT_EQ(even.PercentileNs(p), quoted) << what << " p=" << p;
+  }
+}
+
+TEST(LatencyHistogramTest, PercentilesWithinAnEighthOfExact) {
+  std::mt19937_64 rng(7);
+  std::vector<int64_t> uniform;
+  std::uniform_int_distribution<int64_t> wide(1'000, 10'000'000);
+  for (int i = 0; i < 20'000; ++i) uniform.push_back(wide(rng));
+  ExpectPercentilesWithinEighth(uniform, "uniform");
+
+  // 95% fast commands around 40 us, 5% slow ones around 3 ms: p50 in the
+  // first mode, p99 in the second.
+  std::vector<int64_t> bimodal;
+  std::normal_distribution<double> fast(40'000, 4'000);
+  std::normal_distribution<double> slow(3'000'000, 300'000);
+  std::bernoulli_distribution is_slow(0.05);
+  for (int i = 0; i < 20'000; ++i) {
+    bimodal.push_back(static_cast<int64_t>(is_slow(rng) ? slow(rng) : fast(rng)));
+  }
+  ExpectPercentilesWithinEighth(bimodal, "bimodal");
+
+  ExpectPercentilesWithinEighth(std::vector<int64_t>(1'000, 123'457),
+                                "single value");
+  ExpectPercentilesWithinEighth({1'999'999'999}, "one sample");
+}
+
+TEST(LatencyHistogramTest, SmallValuesAreExactAndEmptyIsZero) {
+  LatencyHistogram h;
+  EXPECT_EQ(h.PercentileNs(0.5), 0);
+  for (int64_t v = 0; v < 16; ++v) {
+    LatencyHistogram one;
+    one.Record(v);
+    EXPECT_EQ(one.PercentileNs(0.5), v);
+  }
+  // A negative sample counts as 0 ns.
+  h.Record(-5);
+  EXPECT_EQ(h.count(), 1);
+  EXPECT_EQ(h.PercentileNs(0.99), 0);
 }
 
 // ---------------------------------------------------------------------------
