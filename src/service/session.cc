@@ -224,6 +224,7 @@ void Session::RefreshSourceMetrics() {
   metrics_.cache_misses = 0;
   metrics_.readahead_issued = 0;
   metrics_.readahead_hits = 0;
+  metrics_.readahead_fills = 0;
   metrics_.readahead_fallbacks = 0;
   metrics_.lxp = net::ChannelStats();
   for (const auto& buffer : buffers_) {
@@ -237,6 +238,7 @@ void Session::RefreshSourceMetrics() {
     metrics_.cache_misses += s.cache_misses;
     metrics_.readahead_issued += s.readahead_issued;
     metrics_.readahead_hits += s.readahead_hits;
+    metrics_.readahead_fills += s.readahead_fills;
     metrics_.readahead_fallbacks += s.readahead_fallbacks;
   }
   for (const auto& channel : channels_) metrics_.lxp += channel->stats();

@@ -93,7 +93,8 @@ class SessionEnvironment {
     /// (factories may count invocations or script per-session behavior).
     /// Default: no capability, optimizer passes that need one stay off.
     buffer::PushdownCapability capability;
-    /// Concurrent single-hole readahead flights per session buffer
+    /// Readahead window per session buffer: up to this many flights, each
+    /// chasing up to this many fills along its continuation chain
     /// (BufferComponent::Options::max_in_flight); 0 = demand-only, the
     /// byte-identical baseline.
     int max_in_flight = 0;
