@@ -8,8 +8,9 @@
 //   * stacked:            query mediator over the view mediator's virtual
 //                         document;
 //   * composed:           one flat plan (view unfolded into the query);
-//   * composed+rewritten: the flat plan after the rewriter runs over the
-//                         combined operator tree (σ-enabling, pushdowns).
+//   * composed+rewritten: the flat plan after the optimizer pipeline
+//                         (passes::OptimizePlan) runs over the combined
+//                         operator tree (σ-enabling, pushdowns, fusion).
 //
 // Expected shape: source navigations are identical across strategies (the
 // selection's variable is only derivable through the view's join, so no
@@ -21,7 +22,7 @@
 
 #include "mediator/compose.h"
 #include "mediator/instantiate.h"
-#include "mediator/rewrite.h"
+#include "mediator/passes/pass.h"
 #include "mediator/translate.h"
 #include "xmas/parser.h"
 #include "xml/doc_navigable.h"
@@ -94,9 +95,10 @@ void RunFlat(benchmark::State& state, int n, bool rewrite) {
   auto composed =
       mediator::ComposeQueryOverView(*query, "theView", *view).ValueOrDie();
   if (rewrite) {
-    mediator::RewriteOptions options;
-    options.sigma_capable_sources = true;
-    mediator::Rewrite(&composed, options);
+    mediator::passes::OptimizerOptions options;
+    options.sources["homesSrc"].sigma = true;
+    options.sources["schoolsSrc"].sigma = true;
+    mediator::passes::OptimizePlan(&composed, options).ValueOrDie();
   }
   for (auto _ : state) {
     xml::DocNavigable homes_nav(inst.homes.get());

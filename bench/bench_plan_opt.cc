@@ -1,4 +1,4 @@
-// Experiment E15 (EXPERIMENTS.md): the plan-IR optimizer's effect on
+// Experiment E15 (EXPERIMENTS.md): the plan optimizer's effect on
 // wrapper traffic, at byte-identical answers, across optimizer levels.
 //
 //   * BM_RelationalScanPushdown — a zip-equality scan over a 512-row

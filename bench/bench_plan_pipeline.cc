@@ -11,7 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include "mediator/instantiate.h"
-#include "mediator/rewrite.h"
+#include "mediator/passes/pass.h"
 #include "mediator/translate.h"
 #include "xmas/parser.h"
 #include "xml/doc_navigable.h"
@@ -30,14 +30,17 @@ WHERE homesSrc homes.home $H AND $H zip._ $V1
   AND $V1 = $V2
 )";
 
+/// Runs the optimizer with σ granted to `sources`.
+void Optimize(mediator::PlanPtr* plan, const std::vector<std::string>& sources) {
+  mediator::passes::OptimizerOptions options;
+  for (const std::string& s : sources) options.sources[s].sigma = true;
+  mediator::passes::OptimizePlan(plan, options).ValueOrDie();
+}
+
 mediator::PlanPtr Fig3Plan(bool sigma) {
   auto q = xmas::ParseQuery(kFig3).ValueOrDie();
   auto plan = mediator::TranslateQuery(q).ValueOrDie();
-  if (sigma) {
-    mediator::RewriteOptions options;
-    options.sigma_capable_sources = true;
-    mediator::Rewrite(&plan, options);
-  }
+  if (sigma) Optimize(&plan, {"homesSrc", "schoolsSrc"});
   return plan;
 }
 
@@ -104,11 +107,7 @@ void BM_SigmaRewriteAblation(benchmark::State& state) {
   auto q = xmas::ParseQuery(
       "CONSTRUCT <out> $H {$H} </out> {} WHERE homesSrc homes.home $H");
   auto plan = mediator::TranslateQuery(q.value()).ValueOrDie();
-  if (sigma) {
-    mediator::RewriteOptions options;
-    options.sigma_capable_sources = true;
-    mediator::Rewrite(&plan, options);
-  }
+  if (sigma) Optimize(&plan, {"homesSrc"});
   for (auto _ : state) {
     xml::DocNavigable homes_nav(homes.get());
     NavStats stats;

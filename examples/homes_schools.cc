@@ -11,7 +11,7 @@
 #include "client/client.h"
 #include "mediator/browsability.h"
 #include "mediator/instantiate.h"
-#include "mediator/rewrite.h"
+#include "mediator/passes/pass.h"
 #include "mediator/translate.h"
 #include "xmas/parser.h"
 #include "xml/doc_navigable.h"
@@ -48,12 +48,17 @@ WHERE homesSrc homes.home $H AND $H zip._ $V1
   }
   std::printf("\n");
 
-  // Rewriting phase.
-  mediator::RewriteOptions rewrite_options;
-  rewrite_options.sigma_capable_sources = true;
+  // Rewriting phase: both sources answer σ.
+  mediator::passes::OptimizerOptions optimizer;
+  optimizer.sources["homesSrc"].sigma = true;
+  optimizer.sources["schoolsSrc"].sigma = true;
   auto rewritten = plan->Clone();
-  auto stats = mediator::Rewrite(&rewritten, rewrite_options);
-  std::printf("--- rewriting: %s ---\n%s\n", stats.ToString().c_str(),
+  auto report = mediator::passes::OptimizePlan(&rewritten, optimizer);
+  if (!report.ok()) {
+    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("--- rewriting: %s ---\n%s\n", report.value().ToString().c_str(),
               rewritten->ToString().c_str());
 
   // Evaluate over synthetic sources: 200 homes / 200 schools, 40 zips.

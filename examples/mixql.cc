@@ -2,7 +2,7 @@
 //
 //   mixql [options] <query.xmas> name=source.xml [name=source.xml ...]
 //
-//   --plan      print the algebra plan (after rewriting) and exit
+//   --plan      print the algebra plan (after optimization) and exit
 //   --analyze   print the browsability report and exit
 //   --algebra   the query file contains plan text (PlanNode::ToString
 //               format, see mediator/plan_text.h) instead of XMAS
@@ -29,7 +29,7 @@
 #include "mediator/plan_text.h"
 #include "mediator/view_schema.h"
 #include "mediator/instantiate.h"
-#include "mediator/rewrite.h"
+#include "mediator/passes/pass.h"
 #include "mediator/translate.h"
 #include "xmas/parser.h"
 #include "xml/doc_navigable.h"
@@ -48,6 +48,16 @@ int Usage() {
                "[--first N] [--view name=view.xmas] "
                "<query.xmas> name=source.{xml,csv} ...\n");
   return 2;
+}
+
+/// Grants σ to every source `plan` reads: each is a local document or a
+/// buffered CSV table, and both answer σ.
+void GrantSigma(const mediator::PlanNode& plan,
+                mediator::passes::OptimizerOptions* options) {
+  if (plan.kind == mediator::PlanNode::Kind::kSource) {
+    options->sources[plan.source_name].sigma = true;
+  }
+  for (const mediator::PlanPtr& c : plan.children) GrantSigma(*c, options);
 }
 
 Result<std::string> ReadFile(const std::string& path) {
@@ -154,9 +164,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  mediator::RewriteOptions rewrite_options;
-  rewrite_options.sigma_capable_sources = true;
-  mediator::Rewrite(&plan.value(), rewrite_options);
+  // An optimizer failure leaves the plan as it was, and that plan is correct.
+  mediator::passes::OptimizerOptions optimizer;
+  GrantSigma(*plan.value(), &optimizer);
+  (void)mediator::passes::OptimizePlan(&plan.value(), optimizer);
 
   if (print_plan) {
     std::printf("%s", plan.value()->ToString().c_str());

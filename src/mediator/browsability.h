@@ -51,9 +51,10 @@ BrowsabilityReport Classify(const PlanNode& plan,
 /// Single-operator classification: the browsability contribution of `node`
 /// alone (children are NOT visited). `sigma_available` says whether the
 /// source feeding this operator's navigations answers σ natively — the
-/// optimizer IR resolves it per source from wrapper capabilities rather
-/// than globally. On a worsening result, `*reason` (if non-null) receives
-/// the explanatory line that Classify would have recorded.
+/// optimizer's analysis (ir.h) resolves it per source from wrapper
+/// capabilities rather than globally. On a worsening result, `*reason` (if
+/// non-null) receives the explanatory line that Classify would have
+/// recorded.
 Browsability ClassifyOperator(const PlanNode& node, bool sigma_available,
                               std::string* reason);
 

@@ -2,7 +2,7 @@
 // analysis-driven rewrite): a label-chain getDescendants whose anchoring
 // value navigates a σ-capable source switches to σ sibling scans, which
 // upgrades it from browsable to bounded browsable (paper Section 2, end).
-// σ-capability is resolved per source through the IR's variable
+// σ-capability is resolved per source through the analyzed variable
 // provenance — a plan mixing relational and CSV legs only upgrades the
 // legs whose wrapper answers σ.
 #include "mediator/passes/pass.h"
@@ -16,29 +16,33 @@ class BrowsabilityPass : public Pass {
  public:
   const char* name() const override { return "browsability"; }
 
-  Result<int> Run(IrPtr* root, const OptimizerOptions& options) override {
-    return Walk(root->get(), options);
+  Result<int> Run(PlanPtr* root, const OptimizerOptions& options,
+                  AnnotationTable* table) override {
+    return Walk(root->get(), options, *table);
   }
 
  private:
-  int Walk(IrNode* node, const OptimizerOptions& options) {
+  int Walk(PlanNode* node, const OptimizerOptions& options,
+           const AnnotationTable& table) {
     int changes = 0;
-    if (node->op.kind == PlanNode::Kind::kGetDescendants &&
-        !node->op.use_sigma && SigmaAvailable(*node, options)) {
-      auto path = pathexpr::PathExpr::Parse(node->op.path);
+    if (node->kind == PlanNode::Kind::kGetDescendants && !node->use_sigma &&
+        SigmaAvailable(*node, options, table)) {
+      auto path = pathexpr::PathExpr::Parse(node->path);
       if (path.ok() && path.value().IsLabelChain()) {
-        node->op.use_sigma = true;
+        node->use_sigma = true;
         ++changes;
       }
     }
-    for (IrPtr& c : node->children) changes += Walk(c.get(), options);
+    for (PlanPtr& c : node->children) {
+      changes += Walk(c.get(), options, table);
+    }
     return changes;
   }
 
-  bool SigmaAvailable(const IrNode& gd, const OptimizerOptions& options) {
-    if (options.assume_all_sigma) return true;
-    const auto& child_src = gd.children[0]->var_source;
-    auto v = child_src.find(gd.op.parent_var);
+  bool SigmaAvailable(const PlanNode& gd, const OptimizerOptions& options,
+                      const AnnotationTable& table) {
+    const auto& child_src = table.at(gd.children[0].get()).var_source;
+    auto v = child_src.find(gd.parent_var);
     if (v == child_src.end() || v->second.empty()) return false;
     auto cap = options.sources.find(v->second);
     return cap != options.sources.end() && cap->second.sigma;

@@ -37,67 +37,68 @@ class FusionPass : public Pass {
  public:
   const char* name() const override { return "fusion"; }
 
-  Result<int> Run(IrPtr* root, const OptimizerOptions& options) override {
+  Result<int> Run(PlanPtr* root, const OptimizerOptions& options,
+                  AnnotationTable* table) override {
     int changes = FuseSelects(root);
 
-    if ((*root)->op.kind == Kind::kTupleDestroy && !(*root)->op.var.empty()) {
+    if ((*root)->kind == Kind::kTupleDestroy && !(*root)->var.empty()) {
       // Splice one candidate at a time (a splice invalidates other slots),
       // remembering nodes whose removal failed to analyze so they are not
       // retried forever.
-      std::vector<const IrNode*> failed;
+      std::vector<const PlanNode*> failed;
       for (;;) {
-        IrPtr* slot = FindDeadConstructor(root, root->get(), failed);
+        PlanPtr* slot = FindDeadConstructor(root, root->get(), failed);
         if (slot == nullptr) break;
         // Tentative splice; revert unless the plan still analyzes.
-        IrPtr removed = std::move(*slot);
+        PlanPtr removed = std::move(*slot);
         *slot = std::move(removed->children[0]);
-        Status ok = AnalyzeIr(root->get(), options.sources,
-                              options.assume_all_sigma);
-        if (!ok.ok()) {
-          failed.push_back(removed.get());
-          removed->children[0] = std::move(*slot);
-          *slot = std::move(removed);
+        if (AnalyzeIr(**root, options.sources, table).ok()) {
+          ++changes;
           continue;
         }
-        ++changes;
+        failed.push_back(removed.get());
+        removed->children[0] = std::move(*slot);
+        *slot = std::move(removed);
+        // The failed analysis left the table partial: rebuild it for the
+        // restored tree.
+        Status restored = AnalyzeIr(**root, options.sources, table);
+        if (!restored.ok()) return restored;
       }
     }
     return changes;
   }
 
  private:
-  int FuseSelects(IrPtr* slot) {
-    IrNode* node = slot->get();
+  int FuseSelects(PlanPtr* slot) {
+    PlanNode* node = slot->get();
     int changes = 0;
-    if (node->op.kind == Kind::kSelect) {
-      IrNode* child = node->children[0].get();
-      std::vector<std::string> vars = InputVars(node->op);
-      if (child->op.kind == Kind::kGetDescendants &&
-          !child->op.predicate.has_value() &&
-          std::find(vars.begin(), vars.end(), child->op.out_var) !=
-              vars.end()) {
-        child->op.predicate = node->op.predicate;
-        IrPtr select = std::move(*slot);
+    if (node->kind == Kind::kSelect) {
+      PlanNode* child = node->children[0].get();
+      std::vector<std::string> vars = InputVars(*node);
+      if (child->kind == Kind::kGetDescendants &&
+          !child->predicate.has_value() &&
+          std::find(vars.begin(), vars.end(), child->out_var) != vars.end()) {
+        child->predicate = node->predicate;
+        PlanPtr select = std::move(*slot);
         *slot = std::move(select->children[0]);
         ++changes;
       }
     }
-    for (IrPtr& c : slot->get()->children) changes += FuseSelects(&c);
+    for (PlanPtr& c : slot->get()->children) changes += FuseSelects(&c);
     return changes;
   }
 
   /// First constructor (pre-order) whose output nothing consumes, skipping
   /// nodes whose removal already failed to analyze.
-  IrPtr* FindDeadConstructor(IrPtr* slot, const IrNode* root,
-                             const std::vector<const IrNode*>& failed) {
-    IrNode* node = slot->get();
-    if (IsConstructor(node->op.kind) &&
-        CountVarUses(*root, node->op.out_var) == 0 &&
+  PlanPtr* FindDeadConstructor(PlanPtr* slot, const PlanNode* root,
+                               const std::vector<const PlanNode*>& failed) {
+    PlanNode* node = slot->get();
+    if (IsConstructor(node->kind) && CountVarUses(*root, node->out_var) == 0 &&
         std::find(failed.begin(), failed.end(), node) == failed.end()) {
       return slot;
     }
-    for (IrPtr& c : node->children) {
-      IrPtr* found = FindDeadConstructor(&c, root, failed);
+    for (PlanPtr& c : node->children) {
+      PlanPtr* found = FindDeadConstructor(&c, root, failed);
       if (found != nullptr) return found;
     }
     return nullptr;

@@ -45,30 +45,31 @@ class JoinReorderPass : public Pass {
  public:
   const char* name() const override { return "join_reorder"; }
 
-  Result<int> Run(IrPtr* root, const OptimizerOptions&) override {
-    return Walk(root);
+  Result<int> Run(PlanPtr* root, const OptimizerOptions&,
+                  AnnotationTable* table) override {
+    return Walk(root, *table);
   }
 
  private:
-  int Walk(IrPtr* slot) {
-    IrNode* p = slot->get();
-    if (p->op.kind == Kind::kJoin) {
-      std::vector<std::string> pvars = InputVars(p->op);
+  int Walk(PlanPtr* slot, const AnnotationTable& table) {
+    PlanNode* p = slot->get();
+    if (p->kind == Kind::kJoin) {
+      std::vector<std::string> pvars = InputVars(*p);
 
-      IrNode* q = p->children[0].get();
-      if (q->op.kind == Kind::kJoin) {
+      PlanNode* q = p->children[0].get();
+      if (q->kind == Kind::kJoin) {
         // join_p(join_q(A,B), C) -> join_q(A, join_p(B,C)).
-        IrNode* a = q->children[0].get();
-        IrNode* b = q->children[1].get();
-        IrNode* c = p->children[1].get();
-        if (AllIn(pvars, b->schema, c->schema) &&
-            JoinEst(p->op, b->fanout, c->fanout) <
-                0.75 * JoinEst(q->op, a->fanout, b->fanout)) {
-          IrPtr p_owned = std::move(*slot);
-          IrPtr q_owned = std::move(p_owned->children[0]);
-          IrPtr a_owned = std::move(q_owned->children[0]);
-          IrPtr b_owned = std::move(q_owned->children[1]);
-          IrPtr c_owned = std::move(p_owned->children[1]);
+        const Annotation& a = table.at(q->children[0].get());
+        const Annotation& b = table.at(q->children[1].get());
+        const Annotation& c = table.at(p->children[1].get());
+        if (AllIn(pvars, b.schema, c.schema) &&
+            JoinEst(*p, b.fanout, c.fanout) <
+                0.75 * JoinEst(*q, a.fanout, b.fanout)) {
+          PlanPtr p_owned = std::move(*slot);
+          PlanPtr q_owned = std::move(p_owned->children[0]);
+          PlanPtr a_owned = std::move(q_owned->children[0]);
+          PlanPtr b_owned = std::move(q_owned->children[1]);
+          PlanPtr c_owned = std::move(p_owned->children[1]);
           p_owned->children[0] = std::move(b_owned);
           p_owned->children[1] = std::move(c_owned);
           q_owned->children[0] = std::move(a_owned);
@@ -79,19 +80,19 @@ class JoinReorderPass : public Pass {
       }
 
       q = p->children[1].get();
-      if (q->op.kind == Kind::kJoin) {
+      if (q->kind == Kind::kJoin) {
         // join_p(A, join_q(B,C)) -> join_q(join_p(A,B), C).
-        IrNode* a = p->children[0].get();
-        IrNode* b = q->children[0].get();
-        IrNode* c = q->children[1].get();
-        if (AllIn(pvars, a->schema, b->schema) &&
-            JoinEst(p->op, a->fanout, b->fanout) <
-                0.75 * JoinEst(q->op, b->fanout, c->fanout)) {
-          IrPtr p_owned = std::move(*slot);
-          IrPtr q_owned = std::move(p_owned->children[1]);
-          IrPtr a_owned = std::move(p_owned->children[0]);
-          IrPtr b_owned = std::move(q_owned->children[0]);
-          IrPtr c_owned = std::move(q_owned->children[1]);
+        const Annotation& a = table.at(p->children[0].get());
+        const Annotation& b = table.at(q->children[0].get());
+        const Annotation& c = table.at(q->children[1].get());
+        if (AllIn(pvars, a.schema, b.schema) &&
+            JoinEst(*p, a.fanout, b.fanout) <
+                0.75 * JoinEst(*q, b.fanout, c.fanout)) {
+          PlanPtr p_owned = std::move(*slot);
+          PlanPtr q_owned = std::move(p_owned->children[1]);
+          PlanPtr a_owned = std::move(p_owned->children[0]);
+          PlanPtr b_owned = std::move(q_owned->children[0]);
+          PlanPtr c_owned = std::move(q_owned->children[1]);
           p_owned->children[0] = std::move(a_owned);
           p_owned->children[1] = std::move(b_owned);
           q_owned->children[0] = std::move(p_owned);
@@ -101,8 +102,8 @@ class JoinReorderPass : public Pass {
         }
       }
     }
-    for (IrPtr& child : slot->get()->children) {
-      int changes = Walk(&child);
+    for (PlanPtr& child : slot->get()->children) {
+      int changes = Walk(&child, table);
       if (changes != 0) return changes;
     }
     return 0;

@@ -1,9 +1,10 @@
-// Optimizer pass pipeline over the plan IR (DESIGN.md §6).
+// Optimizer pass pipeline over the plan tree (DESIGN.md §6).
 //
-// Each pass is a self-contained rewrite with explicit legality conditions;
-// the PassManager runs the pipeline to fixpoint (a pass may expose
-// opportunities for an earlier one), refreshing IR annotations between
-// passes so every pass may trust them on entry.
+// Each pass is a self-contained rewrite of a PlanNode tree with explicit
+// legality conditions; the PassManager runs the pipeline to fixpoint (a
+// pass may expose opportunities for an earlier one), rebuilding the
+// annotation table (mediator/ir.h) between passes so every pass may trust
+// it on entry.
 //
 // Default pipeline, in order:
 //   select_pushdown  — selections sink below join / getDescendants /
@@ -36,8 +37,6 @@ struct OptimizerOptions {
   int level = 1;
   /// Per-source capabilities (σ, pushdown, relational catalog).
   std::map<std::string, SourceCapability> sources;
-  /// Legacy Rewrite() compatibility: treat every source as σ-capable.
-  bool assume_all_sigma = false;
   /// Called after each pass that changed the tree: (pass name, annotated
   /// DumpIr). Unset => MIX_DUMP_PASSES=1 in the environment dumps to stderr.
   std::function<void(const std::string& pass_name, const std::string& dump)>
@@ -49,10 +48,11 @@ class Pass {
   virtual ~Pass() = default;
   virtual const char* name() const = 0;
   /// Applies the pass to *root (which it may re-root); returns the number
-  /// of rewrites applied. IR annotations are fresh on entry; a pass that
-  /// reshapes the tree must either keep the annotations it later reads
-  /// consistent or not read stale ones.
-  virtual Result<int> Run(IrPtr* root, const OptimizerOptions& options) = 0;
+  /// of rewrites applied. `*table` is fresh on entry; a pass that reshapes
+  /// the tree must either keep the entries it later reads consistent or
+  /// not read stale ones.
+  virtual Result<int> Run(PlanPtr* root, const OptimizerOptions& options,
+                          AnnotationTable* table) = 0;
 };
 
 struct PassStats {
@@ -81,7 +81,7 @@ class PassManager {
   /// Runs the pipeline to fixpoint (max 64 rounds), re-analyzing between
   /// passes. On failure the tree may be partially rewritten — callers that
   /// need all-or-nothing semantics (OptimizePlan) work on a copy.
-  Result<OptimizeReport> Run(IrPtr* root, const OptimizerOptions& options);
+  Result<OptimizeReport> Run(PlanPtr* root, const OptimizerOptions& options);
 
  private:
   std::vector<std::unique_ptr<Pass>> passes_;
@@ -94,9 +94,9 @@ std::unique_ptr<Pass> MakeProjectPrunePass();
 std::unique_ptr<Pass> MakeBrowsabilityPass();
 std::unique_ptr<Pass> MakeJoinReorderPass();
 
-/// plan -> IR -> Default pipeline -> plan. options.level <= 0 returns an
-/// empty report without touching the plan. On any failure `*plan` is left
-/// exactly as passed in.
+/// Runs the Default pipeline on a clone of `*plan` and swaps the clone in
+/// on success. options.level <= 0 returns an empty report without touching
+/// the plan. On any failure `*plan` is left exactly as passed in.
 Result<OptimizeReport> OptimizePlan(PlanPtr* plan,
                                     const OptimizerOptions& options);
 

@@ -43,46 +43,45 @@ void PassManager::Add(std::unique_ptr<Pass> pass) {
   passes_.push_back(std::move(pass));
 }
 
-Result<OptimizeReport> PassManager::Run(IrPtr* root,
+Result<OptimizeReport> PassManager::Run(PlanPtr* root,
                                         const OptimizerOptions& options) {
   OptimizeReport report;
   for (const auto& p : passes_) report.passes.push_back({p->name(), 0});
 
-  Status analyzed =
-      AnalyzeIr(root->get(), options.sources, options.assume_all_sigma);
+  AnnotationTable table;
+  Status analyzed = AnalyzeIr(**root, options.sources, &table);
   if (!analyzed.ok()) return analyzed;
-  report.before_cls = (*root)->cls;
+  report.before_cls = table.at(root->get()).cls;
 
   for (int round = 0; round < 64; ++round) {
     int round_changes = 0;
     for (size_t i = 0; i < passes_.size(); ++i) {
-      auto applied = passes_[i]->Run(root, options);
+      auto applied = passes_[i]->Run(root, options, &table);
       if (!applied.ok()) return applied.status();
       if (applied.value() == 0) continue;
       round_changes += applied.value();
       report.passes[i].applied += applied.value();
       // Refresh annotations so the next pass sees the new shape.
-      analyzed =
-          AnalyzeIr(root->get(), options.sources, options.assume_all_sigma);
+      analyzed = AnalyzeIr(**root, options.sources, &table);
       if (!analyzed.ok()) {
         return Status::Internal(std::string("pass '") + passes_[i]->name() +
                                 "' broke the plan: " + analyzed.ToString());
       }
       if (options.dump_hook) {
-        options.dump_hook(passes_[i]->name(), DumpIr(**root, true));
+        options.dump_hook(passes_[i]->name(), DumpIr(**root, table));
       }
     }
     ++report.rounds;
     if (round_changes == 0) break;
   }
-  report.after_cls = (*root)->cls;
+  report.after_cls = table.at(root->get()).cls;
   return report;
 }
 
 Result<OptimizeReport> OptimizePlan(PlanPtr* plan,
                                     const OptimizerOptions& options) {
   if (options.level <= 0) return OptimizeReport{};
-  IrPtr ir = IrFromPlan(**plan);
+  PlanPtr work = (*plan)->Clone();
 
   OptimizerOptions effective = options;
   if (!effective.dump_hook && std::getenv("MIX_DUMP_PASSES") != nullptr) {
@@ -93,15 +92,14 @@ Result<OptimizeReport> OptimizePlan(PlanPtr* plan,
   }
 
   PassManager pm = PassManager::Default();
-  auto report = pm.Run(&ir, effective);
+  auto report = pm.Run(&work, effective);
   if (!report.ok()) return report.status();
-  *plan = IrToPlan(*ir);
+  *plan = std::move(work);
   return report;
 }
 
 std::string OptimizerFingerprint(const OptimizerOptions& options) {
   std::string fp = "v1;L" + std::to_string(options.level);
-  if (options.assume_all_sigma) fp += ";allsigma";
   // std::map iterates sources in sorted order: deterministic.
   for (const auto& [name, cap] : options.sources) {
     fp += ";" + name + "=";

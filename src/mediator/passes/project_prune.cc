@@ -10,20 +10,21 @@ class ProjectPrunePass : public Pass {
  public:
   const char* name() const override { return "project_prune"; }
 
-  Result<int> Run(IrPtr* root, const OptimizerOptions&) override {
-    return Walk(root);
+  Result<int> Run(PlanPtr* root, const OptimizerOptions&,
+                  AnnotationTable* table) override {
+    return Walk(root, *table);
   }
 
  private:
-  int Walk(IrPtr* slot) {
+  int Walk(PlanPtr* slot, const AnnotationTable& table) {
     int changes = 0;
-    while ((*slot)->op.kind == PlanNode::Kind::kProject &&
-           (*slot)->children[0]->schema == (*slot)->op.vars) {
-      IrPtr project = std::move(*slot);
+    while ((*slot)->kind == PlanNode::Kind::kProject &&
+           table.at((*slot)->children[0].get()).schema == (*slot)->vars) {
+      PlanPtr project = std::move(*slot);
       *slot = std::move(project->children[0]);
       ++changes;
     }
-    for (IrPtr& c : (*slot)->children) changes += Walk(&c);
+    for (PlanPtr& c : (*slot)->children) changes += Walk(&c, table);
     return changes;
   }
 };

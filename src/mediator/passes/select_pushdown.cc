@@ -33,10 +33,11 @@ class SelectPushdownPass : public Pass {
  public:
   const char* name() const override { return "select_pushdown"; }
 
-  Result<int> Run(IrPtr* root, const OptimizerOptions&) override {
+  Result<int> Run(PlanPtr* root, const OptimizerOptions&,
+                  AnnotationTable* table) override {
     int total = 0;
     for (int i = 0; i < 64; ++i) {
-      int changes = Walk(root);
+      int changes = Walk(root, table);
       if (changes == 0) break;
       total += changes;
     }
@@ -46,43 +47,44 @@ class SelectPushdownPass : public Pass {
  private:
   /// One top-down sweep; stops and restarts at each rotation (the reshaped
   /// subtree is revisited by the next sweep).
-  int Walk(IrPtr* slot) {
-    IrNode* node = slot->get();
-    if (node->op.kind == Kind::kSelect) {
-      IrNode* child = node->children[0].get();
-      std::vector<std::string> vars = InputVars(node->op);
+  int Walk(PlanPtr* slot, AnnotationTable* table) {
+    PlanNode* node = slot->get();
+    if (node->kind == Kind::kSelect) {
+      PlanNode* child = node->children[0].get();
+      std::vector<std::string> vars = InputVars(*node);
 
-      if (child->op.kind == Kind::kJoin) {
+      if (child->kind == Kind::kJoin) {
         for (size_t side = 0; side < 2; ++side) {
-          if (!AllIn(vars, child->children[side]->schema)) continue;
+          if (!AllIn(vars, table->at(child->children[side].get()).schema)) {
+            continue;
+          }
           // select(join(a, b)) -> join(select(a), b) (or the right side).
-          IrPtr select = std::move(*slot);
-          IrPtr join = std::move(select->children[0]);
-          IrPtr target = std::move(join->children[side]);
-          select->schema = target->schema;
+          PlanPtr select = std::move(*slot);
+          PlanPtr join = std::move(select->children[0]);
+          PlanPtr target = std::move(join->children[side]);
+          table->at(select.get()).schema = table->at(target.get()).schema;
           select->children[0] = std::move(target);
           join->children[side] = std::move(select);
           *slot = std::move(join);
           return 1;
         }
-      } else if (child->op.kind == Kind::kGetDescendants &&
-                 !Contains(vars, child->op.out_var)) {
+      } else if (child->kind == Kind::kGetDescendants &&
+                 !Contains(vars, child->out_var)) {
         // select(getDescendants(c)) -> getDescendants(select(c)).
-        IrPtr select = std::move(*slot);
-        IrPtr gd = std::move(select->children[0]);
-        IrPtr input = std::move(gd->children[0]);
-        select->schema = input->schema;
+        PlanPtr select = std::move(*slot);
+        PlanPtr gd = std::move(select->children[0]);
+        PlanPtr input = std::move(gd->children[0]);
+        table->at(select.get()).schema = table->at(input.get()).schema;
         select->children[0] = std::move(input);
         gd->children[0] = std::move(select);
         *slot = std::move(gd);
         return 1;
-      } else if (child->op.kind == Kind::kGroupBy &&
-                 AllIn(vars, child->op.vars)) {
+      } else if (child->kind == Kind::kGroupBy && AllIn(vars, child->vars)) {
         // select(groupBy(c)) -> groupBy(select(c)).
-        IrPtr select = std::move(*slot);
-        IrPtr gb = std::move(select->children[0]);
-        IrPtr input = std::move(gb->children[0]);
-        select->schema = input->schema;
+        PlanPtr select = std::move(*slot);
+        PlanPtr gb = std::move(select->children[0]);
+        PlanPtr input = std::move(gb->children[0]);
+        table->at(select.get()).schema = table->at(input.get()).schema;
         select->children[0] = std::move(input);
         gb->children[0] = std::move(select);
         *slot = std::move(gb);
@@ -90,7 +92,7 @@ class SelectPushdownPass : public Pass {
       }
     }
     int changes = 0;
-    for (IrPtr& c : slot->get()->children) changes += Walk(&c);
+    for (PlanPtr& c : slot->get()->children) changes += Walk(&c, table);
     return changes;
   }
 };

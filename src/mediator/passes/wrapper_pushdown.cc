@@ -2,7 +2,7 @@
 // extracted from a relational source's column compiles into the wrapper's
 // mini-SQL view URI, so filtered tuples never cross the wire.
 //
-// Pattern (all nodes in one tree, annotations fresh):
+// Pattern (all nodes in one tree):
 //
 //   select[$Z op 'lit']                          -- removed
 //     ... getDescendants[$T,<col>._ -> $Z] ...   -- kept (binds the cell)
@@ -39,17 +39,17 @@ namespace {
 using Kind = PlanNode::Kind;
 
 struct VarDef {
-  IrNode* node = nullptr;
+  PlanNode* node = nullptr;
   int count = 0;
 };
 
-void CollectDefs(IrNode* n, std::map<std::string, VarDef>* defs,
+void CollectDefs(PlanNode* n, std::map<std::string, VarDef>* defs,
                  std::map<std::string, int>* source_names) {
   const std::string* bound = nullptr;
-  switch (n->op.kind) {
+  switch (n->kind) {
     case Kind::kSource:
-      bound = &n->op.var;
-      (*source_names)[n->op.source_name] += 1;
+      bound = &n->var;
+      (*source_names)[n->source_name] += 1;
       break;
     case Kind::kGetDescendants:
     case Kind::kGroupBy:
@@ -58,7 +58,7 @@ void CollectDefs(IrNode* n, std::map<std::string, VarDef>* defs,
     case Kind::kWrapList:
     case Kind::kConst:
     case Kind::kRename:
-      bound = &n->op.out_var;
+      bound = &n->out_var;
       break;
     default:
       break;
@@ -68,12 +68,12 @@ void CollectDefs(IrNode* n, std::map<std::string, VarDef>* defs,
     d.node = n;
     d.count += 1;
   }
-  for (IrPtr& c : n->children) CollectDefs(c.get(), defs, source_names);
+  for (PlanPtr& c : n->children) CollectDefs(c.get(), defs, source_names);
 }
 
-void CollectSelectSlots(IrPtr* slot, std::vector<IrPtr*>* out) {
-  if ((*slot)->op.kind == Kind::kSelect) out->push_back(slot);
-  for (IrPtr& c : (*slot)->children) CollectSelectSlots(&c, out);
+void CollectSelectSlots(PlanPtr* slot, std::vector<PlanPtr*>* out) {
+  if ((*slot)->kind == Kind::kSelect) out->push_back(slot);
+  for (PlanPtr& c : (*slot)->children) CollectSelectSlots(&c, out);
 }
 
 /// "<col>._" -> col; empty if the path is not a one-column extraction.
@@ -130,9 +130,9 @@ bool TypeLegal(ColumnType type, const std::string& constant) {
 }
 
 struct Candidate {
-  IrPtr* select_slot;
-  IrNode* source;     ///< gains the uri override
-  IrNode* row_gd;     ///< repointed at view.row
+  PlanPtr* select_slot;
+  PlanNode* source;  ///< gains the uri override
+  PlanNode* row_gd;  ///< repointed at view.row
   std::string table;
   std::string sql_term;  ///< "col op lit"
 };
@@ -141,16 +141,17 @@ class WrapperPushdownPass : public Pass {
  public:
   const char* name() const override { return "wrapper_pushdown"; }
 
-  Result<int> Run(IrPtr* root, const OptimizerOptions& options) override {
+  Result<int> Run(PlanPtr* root, const OptimizerOptions& options,
+                  AnnotationTable*) override {
     std::map<std::string, VarDef> defs;
     std::map<std::string, int> source_names;
     CollectDefs(root->get(), &defs, &source_names);
 
-    std::vector<IrPtr*> selects;
+    std::vector<PlanPtr*> selects;
     CollectSelectSlots(root, &selects);
 
     std::vector<Candidate> candidates;
-    for (IrPtr* slot : selects) {
+    for (PlanPtr* slot : selects) {
       Candidate c;
       if (Match(**root, **slot, defs, source_names, options, &c)) {
         c.select_slot = slot;
@@ -160,64 +161,64 @@ class WrapperPushdownPass : public Pass {
     if (candidates.empty()) return 0;
 
     // One SQL view per source node, predicates in plan pre-order.
-    std::map<IrNode*, std::string> where;
+    std::map<PlanNode*, std::string> where;
     for (const Candidate& c : candidates) {
       std::string& w = where[c.source];
       w += w.empty() ? "sql:SELECT * FROM " + c.table + " WHERE " : " AND ";
       w += c.sql_term;
     }
-    for (const auto& [source, sql] : where) source->op.source_uri = sql;
-    for (const Candidate& c : candidates) c.row_gd->op.path = "view.row";
+    for (const auto& [source, sql] : where) source->source_uri = sql;
+    for (const Candidate& c : candidates) c.row_gd->path = "view.row";
 
     // Splice deepest-first so shallower collected slots stay valid.
     for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
-      IrPtr select = std::move(*it->select_slot);
+      PlanPtr select = std::move(*it->select_slot);
       *it->select_slot = std::move(select->children[0]);
     }
     return static_cast<int>(candidates.size());
   }
 
  private:
-  bool Match(const IrNode& root, const IrNode& select,
+  bool Match(const PlanNode& root, const PlanNode& select,
              const std::map<std::string, VarDef>& defs,
              const std::map<std::string, int>& source_names,
              const OptimizerOptions& options, Candidate* out) {
-    const auto& pred = select.op.predicate;
+    const auto& pred = select.predicate;
     if (pred->is_var_var()) return false;
 
-    auto unique_def = [&defs](const std::string& var) -> IrNode* {
+    auto unique_def = [&defs](const std::string& var) -> PlanNode* {
       auto it = defs.find(var);
       return it != defs.end() && it->second.count == 1 ? it->second.node
                                                        : nullptr;
     };
 
-    IrNode* col_gd = unique_def(pred->left_var());
-    if (col_gd == nullptr || col_gd->op.kind != Kind::kGetDescendants ||
-        col_gd->op.predicate.has_value()) {
+    PlanNode* col_gd = unique_def(pred->left_var());
+    if (col_gd == nullptr || col_gd->kind != Kind::kGetDescendants ||
+        col_gd->predicate.has_value()) {
       return false;
     }
-    std::string col = ColumnOf(col_gd->op.path);
+    std::string col = ColumnOf(col_gd->path);
     if (col.empty()) return false;
 
-    IrNode* row_gd = unique_def(col_gd->op.parent_var);
-    if (row_gd == nullptr || row_gd->op.kind != Kind::kGetDescendants ||
-        row_gd->op.predicate.has_value()) {
+    PlanNode* row_gd = unique_def(col_gd->parent_var);
+    if (row_gd == nullptr || row_gd->kind != Kind::kGetDescendants ||
+        row_gd->predicate.has_value()) {
       return false;
     }
     std::string db, table;
-    RowPathOf(row_gd->op.path, &db, &table);
+    RowPathOf(row_gd->path, &db, &table);
     if (db.empty()) return false;
 
-    IrNode* source = unique_def(row_gd->op.parent_var);
-    if (source == nullptr || source->op.kind != Kind::kSource ||
-        !source->op.source_uri.empty()) {
+    PlanNode* source = unique_def(row_gd->parent_var);
+    if (source == nullptr || source->kind != Kind::kSource ||
+        !source->source_uri.empty()) {
       return false;
     }
-    auto names = source_names.find(source->op.source_name);
+    auto names = source_names.find(source->source_name);
     if (names == source_names.end() || names->second != 1) return false;
-    if (CountVarUses(root, source->op.var) != 1) return false;
+    if (CountVarUses(root, source->var) != 1) return false;
 
-    auto cap = options.sources.find(source->op.source_name);
+    auto cap = options.sources.find(source->source_name);
     if (cap == options.sources.end() || !cap->second.pushdown ||
         cap->second.database != db) {
       return false;

@@ -322,13 +322,16 @@ std::string Params(const PlanNode& n) {
 
 void Render(const PlanNode& n, int depth, std::string* out) {
   out->append(static_cast<size_t>(depth) * 2, ' ');
-  *out += PlanKindName(n.kind);
-  *out += Params(n);
+  *out += RenderOp(n);
   *out += '\n';
   for (const PlanPtr& c : n.children) Render(*c, depth + 1, out);
 }
 
 }  // namespace
+
+std::string RenderOp(const PlanNode& node) {
+  return PlanKindName(node.kind) + Params(node);
+}
 
 std::string PlanNode::ToString() const {
   std::string out;

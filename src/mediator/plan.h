@@ -5,7 +5,7 @@
 //   * instantiated as a tree of lazy mediators (instantiate.h),
 //   * evaluated eagerly by the reference evaluator (reference_eval.h),
 //   * analyzed for navigational complexity (browsability.h), and
-//   * rewritten by the optimizer (rewrite.h).
+//   * rewritten in place by the optimizer passes (passes/pass.h).
 #ifndef MIX_MEDIATOR_PLAN_H_
 #define MIX_MEDIATOR_PLAN_H_
 
@@ -112,6 +112,8 @@ struct PlanNode {
   static PlanPtr CachedView(std::string source_name, std::string var,
                             bool children);
 
+  /// Deep copy. The one place that lists every parameter field: a field
+  /// added above must be copied here.
   PlanPtr Clone() const;
 
   /// Multi-line rendering in Fig. 4 style (operator_{params} per line,
@@ -125,12 +127,16 @@ Result<algebra::VarList> ComputeSchema(const PlanNode& node);
 
 /// The single-operator schema rule: output schema of `node` given its
 /// children's schemas (node.children is NOT consulted). This is the
-/// transition ComputeSchema folds over the tree; the optimizer IR
+/// transition ComputeSchema folds over the tree; the optimizer analysis
 /// (mediator/ir.h) uses it to annotate nodes without re-walking subtrees.
 Result<algebra::VarList> SchemaTransition(
     const PlanNode& node, const std::vector<algebra::VarList>& child_schemas);
 
 const char* PlanKindName(PlanNode::Kind kind);
+
+/// One operator's line of ToString() — kind and parameters, no indent,
+/// children, or newline.
+std::string RenderOp(const PlanNode& node);
 
 }  // namespace mix::mediator
 

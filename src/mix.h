@@ -67,10 +67,10 @@
 
 #include "mediator/browsability.h"
 #include "mediator/instantiate.h"
+#include "mediator/passes/pass.h"
 #include "mediator/plan.h"
 #include "mediator/plan_text.h"
 #include "mediator/reference_eval.h"
-#include "mediator/rewrite.h"
 #include "mediator/translate.h"
 #include "mediator/view_schema.h"
 

@@ -4,7 +4,6 @@
 
 #include "mediator/compose.h"
 #include "mediator/instantiate.h"
-#include "mediator/rewrite.h"
 #include "mediator/translate.h"
 #include "test_util.h"
 #include "xmas/parser.h"

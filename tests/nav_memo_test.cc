@@ -10,7 +10,7 @@
 #include "algebra/source_op.h"
 #include "core/navigable.h"
 #include "mediator/instantiate.h"
-#include "mediator/rewrite.h"
+#include "mediator/passes/pass.h"
 #include "mediator/translate.h"
 #include "pathexpr/path_expr.h"
 #include "test_util.h"
@@ -48,10 +48,11 @@ E6Run RunE6(size_t memo_capacity) {
 
   auto query = xmas::ParseQuery(kE6Query).ValueOrDie();
   auto plan = mediator::TranslateQuery(query).ValueOrDie();
-  mediator::RewriteOptions rewrite_options;
-  rewrite_options.sigma_capable_sources = true;
+  mediator::passes::OptimizerOptions optimizer;
+  optimizer.sources["homesSrc"].sigma = true;
+  optimizer.sources["schoolsSrc"].sigma = true;
   auto rewritten = plan->Clone();
-  mediator::Rewrite(&rewritten, rewrite_options);
+  EXPECT_TRUE(mediator::passes::OptimizePlan(&rewritten, optimizer).ok());
 
   auto homes = xml::MakeHomesDoc(60, 12);
   auto schools = xml::MakeSchoolsDoc(60, 12);

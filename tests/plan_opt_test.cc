@@ -1,4 +1,4 @@
-// Plan-IR optimizer tests (DESIGN.md §6): per-pass units over the IR,
+// Plan optimizer tests (DESIGN.md §6): per-pass units over the plan tree,
 // golden per-pass dumps, and end-to-end byte-equality of optimized vs.
 // level-0 plans across the Fig. 3 query family, stacked mediators, and the
 // PR 4 fault matrix — plus the NavStats guarantee that an optimized plan
@@ -102,36 +102,38 @@ rdb::Database MakeRealtyDb(int rows) {
 }
 
 // ---------------------------------------------------------------------------
-// IR plumbing
+// Annotation plumbing
 // ---------------------------------------------------------------------------
 
-TEST(PlanIrTest, RoundTripPreservesPlanText) {
+TEST(PlanIrTest, CloneAndAnalyzePreservePlanText) {
   PlanPtr plan = Compile(kFig3);
-  IrPtr ir = IrFromPlan(*plan);
-  ASSERT_TRUE(AnalyzeIr(ir.get(), {}, false).ok());
-  EXPECT_EQ(IrToPlan(*ir)->ToString(), plan->ToString());
+  PlanPtr clone = plan->Clone();
+  AnnotationTable table;
+  ASSERT_TRUE(AnalyzeIr(*clone, {}, &table).ok());
+  EXPECT_EQ(clone->ToString(), plan->ToString());
 }
 
 TEST(PlanIrTest, AnalyzeAnnotatesSchemaSourcesAndClass) {
   PlanPtr plan = Compile(kFig3);
-  IrPtr ir = IrFromPlan(*plan);
-  ASSERT_TRUE(AnalyzeIr(ir.get(), {}, false).ok());
+  AnnotationTable table;
+  ASSERT_TRUE(AnalyzeIr(*plan, {}, &table).ok());
   // Root is tupleDestroy (document, no schema); its subtree sees both
   // sources, and without σ the join plan is merely browsable.
-  EXPECT_TRUE(ir->schema.empty());
-  EXPECT_EQ(ir->sources,
+  const Annotation& root = table.at(plan.get());
+  EXPECT_TRUE(root.schema.empty());
+  EXPECT_EQ(root.sources,
             (std::vector<std::string>{"homesSrc", "schoolsSrc"}));
-  EXPECT_EQ(ir->cls, Browsability::kBrowsable);
+  EXPECT_EQ(root.cls, Browsability::kBrowsable);
   // Schema flows: the stream under the root binds the constructed answer.
-  ASSERT_EQ(ir->children.size(), 1u);
-  EXPECT_FALSE(ir->children[0]->schema.empty());
+  ASSERT_EQ(plan->children.size(), 1u);
+  EXPECT_FALSE(table.at(plan->children[0].get()).schema.empty());
 }
 
 TEST(PlanIrTest, AnnotatedDumpRoundTripsThroughPlanText) {
   PlanPtr plan = Compile(kFig3);
-  IrPtr ir = IrFromPlan(*plan);
-  ASSERT_TRUE(AnalyzeIr(ir.get(), {}, false).ok());
-  std::string annotated = DumpIr(*ir, /*annotate=*/true);
+  AnnotationTable table;
+  ASSERT_TRUE(AnalyzeIr(*plan, {}, &table).ok());
+  std::string annotated = DumpIr(*plan, table);
   ASSERT_NE(annotated.find('%'), std::string::npos);
   // plan_text strips the % annotations, so the dump stays machine-readable.
   auto parsed = ParsePlanText(annotated);
@@ -216,6 +218,26 @@ TEST(PassTest, LiveConstructorsAreKept) {
   EXPECT_EQ(report.value().applied("fusion"), 0);
 }
 
+TEST(PassTest, DeadConstructorKeptWhenRemovalBreaksUnion) {
+  // X is dead, but a union needs both sides to bind the same variables:
+  // removing either createElement alone fails analysis and is reverted,
+  // and the passes after fusion still see the restored plan's analysis.
+  auto branch = [] {
+    return PlanNode::CreateElement(PlanNode::Source("homesSrc", "R"), true,
+                                   "a", "R", "X");
+  };
+  PlanPtr gd = PlanNode::GetDescendants(PlanNode::Union(branch(), branch()),
+                                        "R", "homes.home", "H");
+  PlanPtr plan = PlanNode::TupleDestroy(std::move(gd), "H");
+  OptimizerOptions options;
+  options.sources["homesSrc"].sigma = true;
+  auto report = OptimizePlan(&plan, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().applied("fusion"), 0);
+  EXPECT_EQ(CountKind(*plan, PlanNode::Kind::kCreateElement), 2);
+  EXPECT_EQ(report.value().applied("browsability"), 1);
+}
+
 TEST(PassTest, ProjectPruneDropsFullSchemaProject) {
   PlanPtr gd = PlanNode::GetDescendants(PlanNode::Source("s", "R"), "R",
                                         "a.b", "X");
@@ -227,6 +249,25 @@ TEST(PassTest, ProjectPruneDropsFullSchemaProject) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().applied("project_prune"), 1);
   EXPECT_EQ(CountKind(*plan, PlanNode::Kind::kProject), 0);
+}
+
+TEST(PassTest, CachedViewChildrenFlagSurvivesOptimization) {
+  const std::string expected =
+      "tupleDestroy[$v]\n  cachedView[snap -> $v, children]\n";
+  PlanPtr plan =
+      PlanNode::TupleDestroy(PlanNode::CachedView("snap", "v", true), "v");
+  auto report = OptimizePlan(&plan, OptimizerOptions{});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(plan->ToString(), expected);
+
+  // Under a full-schema project: project_prune splices the project out and
+  // the cachedView moves up with its flag.
+  plan = PlanNode::TupleDestroy(
+      PlanNode::Project(PlanNode::CachedView("snap", "v", true), {"v"}), "v");
+  report = OptimizePlan(&plan, OptimizerOptions{});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().applied("project_prune"), 1);
+  EXPECT_EQ(plan->ToString(), expected);
 }
 
 PlanPtr LabelChainPlan(const std::string& source_name) {

@@ -6,7 +6,7 @@
 #include "buffer/buffer.h"
 #include "mediator/instantiate.h"
 #include "mediator/reference_eval.h"
-#include "mediator/rewrite.h"
+#include "mediator/passes/pass.h"
 #include "mediator/translate.h"
 #include "test_util.h"
 #include "wrappers/xml_lxp_wrapper.h"
@@ -126,7 +126,7 @@ INSTANTIATE_TEST_SUITE_P(
                                                    34)));
 
 // ---------------------------------------------------------------------------
-// Rewriting must never change results (random trees, σ enabled).
+// The optimizer pipeline must never change results (random trees, σ on).
 // ---------------------------------------------------------------------------
 
 class RewriteEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
@@ -141,9 +141,10 @@ TEST_P(RewriteEquivalenceTest, RewrittenPlanAgrees) {
   for (const char* query : kSingleSourceQueries) {
     PlanPtr plan = ParseAndTranslate(query);
     PlanPtr rewritten = plan->Clone();
-    RewriteOptions options;
-    options.sigma_capable_sources = true;
-    Rewrite(&rewritten, options);
+    passes::OptimizerOptions options;
+    options.sources["src"].sigma = true;
+    auto report = passes::OptimizePlan(&rewritten, options);
+    ASSERT_TRUE(report.ok()) << query << ": " << report.status().ToString();
 
     xml::DocNavigable nav1(doc.get());
     xml::DocNavigable nav2(doc.get());

@@ -6,7 +6,7 @@
 
 #include "mediator/instantiate.h"
 #include "mediator/reference_eval.h"
-#include "mediator/rewrite.h"
+#include "mediator/passes/pass.h"
 #include "test_util.h"
 #include "xml/doc_navigable.h"
 #include "xml/random_tree.h"
@@ -193,9 +193,12 @@ TEST_P(RandomPlanTest, LazyEqualsReference) {
 
     // And rewriting must not change the answer either.
     PlanPtr rewritten = plan->Clone();
-    RewriteOptions options;
-    options.sigma_capable_sources = true;
-    Rewrite(&rewritten, options);
+    passes::OptimizerOptions options;
+    options.sources["src1"].sigma = true;
+    options.sources["src2"].sigma = true;
+    auto report = passes::OptimizePlan(&rewritten, options);
+    ASSERT_TRUE(report.ok()) << "seed=" << GetParam() << " round=" << round
+                             << ": " << report.status().ToString();
     xml::DocNavigable nav1b(doc1.get());
     xml::DocNavigable nav2b(doc2.get());
     SourceRegistry sources_b;

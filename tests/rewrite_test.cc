@@ -2,7 +2,7 @@
 
 #include "mediator/instantiate.h"
 #include "mediator/reference_eval.h"
-#include "mediator/rewrite.h"
+#include "mediator/passes/pass.h"
 #include "mediator/translate.h"
 #include "test_util.h"
 #include "xmas/parser.h"
@@ -14,6 +14,7 @@ namespace {
 
 using algebra::BindingPredicate;
 using algebra::CompareOp;
+using passes::OptimizerOptions;
 
 PlanPtr Translate(const std::string& text) {
   auto q = xmas::ParseQuery(text);
@@ -21,6 +22,16 @@ PlanPtr Translate(const std::string& text) {
   auto plan = TranslateQuery(q.value());
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   return std::move(plan).ValueOrDie();
+}
+
+/// Runs `pass` alone through a PassManager; returns the rewrites it applied.
+int RunPass(std::unique_ptr<passes::Pass> pass, PlanPtr* plan,
+            const OptimizerOptions& options = {}) {
+  passes::PassManager pm;
+  pm.Add(std::move(pass));
+  auto report = pm.Run(plan, options);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? report.value().total() : 0;
 }
 
 int CountSigma(const PlanNode& n) {
@@ -33,19 +44,18 @@ TEST(RewriteTest, SigmaEnabledOnLabelChains) {
   PlanPtr plan = Translate(
       "CONSTRUCT <a> $H {$H} </a> {} "
       "WHERE src homes.home $H AND $H zip._ $V");
-  RewriteOptions options;
-  options.sigma_capable_sources = true;
-  RewriteStats stats = Rewrite(&plan, options);
+  OptimizerOptions options;
+  options.sources["src"].sigma = true;
+  int sigma_enabled = RunPass(passes::MakeBrowsabilityPass(), &plan, options);
   // homes.home is a chain; zip._ is not.
-  EXPECT_EQ(stats.sigma_enabled, 1);
+  EXPECT_EQ(sigma_enabled, 1);
   EXPECT_EQ(CountSigma(*plan), 1);
 }
 
 TEST(RewriteTest, SigmaNotEnabledWithoutCapableSources) {
   PlanPtr plan = Translate(
       "CONSTRUCT <a> $H {$H} </a> {} WHERE src homes.home $H");
-  RewriteStats stats = Rewrite(&plan, RewriteOptions{});
-  EXPECT_EQ(stats.sigma_enabled, 0);
+  EXPECT_EQ(RunPass(passes::MakeBrowsabilityPass(), &plan), 0);
 }
 
 TEST(RewriteTest, SelectPushedBelowJoin) {
@@ -60,8 +70,7 @@ TEST(RewriteTest, SelectPushedBelowJoin) {
   PlanPtr plan = PlanNode::Select(
       std::move(join), BindingPredicate::VarConst("K1", CompareOp::kGt, "5"));
 
-  RewriteStats stats = Rewrite(&plan, RewriteOptions{});
-  EXPECT_GE(stats.selects_pushed, 1);
+  EXPECT_GE(RunPass(passes::MakeSelectPushdownPass(), &plan), 1);
   // The root is now the join; the select sits on the left side.
   EXPECT_EQ(plan->kind, PlanNode::Kind::kJoin);
   EXPECT_EQ(plan->children[0]->kind, PlanNode::Kind::kSelect);
@@ -75,10 +84,9 @@ TEST(RewriteTest, SelectPushedBelowGetDescendants) {
   PlanPtr plan = PlanNode::Select(
       std::move(gd2), BindingPredicate::VarConst("K", CompareOp::kEq, "x"));
 
-  RewriteStats stats = Rewrite(&plan, RewriteOptions{});
   // The predicate mentions K but not V: it can sink below the V extraction
   // (but not below K's own extraction).
-  EXPECT_EQ(stats.selects_pushed, 1);
+  EXPECT_EQ(RunPass(passes::MakeSelectPushdownPass(), &plan), 1);
   EXPECT_EQ(plan->kind, PlanNode::Kind::kGetDescendants);
   EXPECT_EQ(plan->out_var, "V");
   EXPECT_EQ(plan->children[0]->kind, PlanNode::Kind::kSelect);
@@ -92,10 +100,9 @@ TEST(RewriteTest, SelectPushedBelowGroupByOnGroupVars) {
   PlanPtr plan = PlanNode::Select(
       std::move(gb), BindingPredicate::VarConst("A", CompareOp::kNe, "z"));
 
-  RewriteStats stats = Rewrite(&plan, RewriteOptions{});
   // Sinks below the groupBy *and* below the V extraction, stopping at A's
   // own extraction.
-  EXPECT_EQ(stats.selects_pushed, 2);
+  EXPECT_EQ(RunPass(passes::MakeSelectPushdownPass(), &plan), 2);
   EXPECT_EQ(plan->kind, PlanNode::Kind::kGroupBy);
   EXPECT_EQ(plan->children[0]->kind, PlanNode::Kind::kGetDescendants);
   EXPECT_EQ(plan->children[0]->children[0]->kind, PlanNode::Kind::kSelect);
@@ -107,8 +114,7 @@ TEST(RewriteTest, SelectNotPushedWhenListVarInvolved) {
   PlanPtr plan = PlanNode::Select(
       std::move(gd), BindingPredicate::VarConst("A", CompareOp::kEq, "x"));
   // Predicate uses the getDescendants output: no pushdown possible.
-  RewriteStats stats = Rewrite(&plan, RewriteOptions{});
-  EXPECT_EQ(stats.selects_pushed, 0);
+  EXPECT_EQ(RunPass(passes::MakeSelectPushdownPass(), &plan), 0);
   EXPECT_EQ(plan->kind, PlanNode::Kind::kSelect);
 }
 
@@ -116,8 +122,7 @@ TEST(RewriteTest, RedundantProjectRemoved) {
   PlanPtr gd = PlanNode::GetDescendants(PlanNode::Source("s", "R"), "R", "a",
                                         "A");
   PlanPtr plan = PlanNode::Project(std::move(gd), {"R", "A"});
-  RewriteStats stats = Rewrite(&plan, RewriteOptions{});
-  EXPECT_EQ(stats.projects_removed, 1);
+  EXPECT_EQ(RunPass(passes::MakeProjectPrunePass(), &plan), 1);
   EXPECT_EQ(plan->kind, PlanNode::Kind::kGetDescendants);
 }
 
@@ -125,8 +130,7 @@ TEST(RewriteTest, NarrowingProjectKept) {
   PlanPtr gd = PlanNode::GetDescendants(PlanNode::Source("s", "R"), "R", "a",
                                         "A");
   PlanPtr plan = PlanNode::Project(std::move(gd), {"A"});
-  RewriteStats stats = Rewrite(&plan, RewriteOptions{});
-  EXPECT_EQ(stats.projects_removed, 0);
+  EXPECT_EQ(RunPass(passes::MakeProjectPrunePass(), &plan), 0);
   EXPECT_EQ(plan->kind, PlanNode::Kind::kProject);
 }
 
@@ -138,9 +142,10 @@ TEST(RewriteTest, RewrittenPlanIsEquivalent) {
       "AND schoolsSrc schools.school $S AND $S zip._ $V2 AND $V1 = $V2";
   PlanPtr plan = Translate(query);
   PlanPtr rewritten = plan->Clone();
-  RewriteOptions options;
-  options.sigma_capable_sources = true;
-  Rewrite(&rewritten, options);
+  OptimizerOptions options;
+  options.sources["homesSrc"].sigma = true;
+  options.sources["schoolsSrc"].sigma = true;
+  EXPECT_GT(RunPass(passes::MakeBrowsabilityPass(), &rewritten, options), 0);
 
   auto homes = xml::MakeHomesDoc(15, 3);
   auto schools = xml::MakeSchoolsDoc(15, 3);
@@ -154,14 +159,6 @@ TEST(RewriteTest, RewrittenPlanIsEquivalent) {
   auto after = LazyMediator::Build(*rewritten, sources).ValueOrDie();
   EXPECT_EQ(testing::MaterializeToTerm(before->document()),
             testing::MaterializeToTerm(after->document()));
-}
-
-TEST(RewriteTest, StatsToString) {
-  RewriteStats stats;
-  stats.sigma_enabled = 2;
-  stats.selects_pushed = 1;
-  EXPECT_NE(stats.ToString().find("sigma_enabled=2"), std::string::npos);
-  EXPECT_EQ(stats.total(), 3);
 }
 
 TEST(RewriteTest, CloneIsDeepAndEqualRendering) {
