@@ -11,7 +11,8 @@
 //     for (demand_fills = fills - readahead_fills), how many fills the
 //     consumed flights carried and how many flights went out (a flight
 //     chases up to W pages along the continuation chain, at a slow-start
-//     depth of 1, 2, 4, ...), and the source pages read.
+//     depth of 1, 2, 4, ...), the holes per flight, and the source pages
+//     read.
 //
 //   * BM_AsyncFillOverTcp (E19) — remote sources served over real TCP
 //     loopback by wrappers with a fixed per-exchange latency (250 µs — a
@@ -21,9 +22,12 @@
 //     navigation thread. window>0 puts independent holes in flight through
 //     TcpFrameTransport's dispatch thread (coalescing into pipelined
 //     batches), so wrapper latency overlaps navigation and the *other*
-//     source's exchanges. Every materialized answer is checked against the
-//     in-process evaluation of the same plan (`mismatches` must stay 0);
-//     the wall-clock ratio window=0 / window=8 is the tracked speedup.
+//     source's exchanges. A flight carries up to W queued holes (both
+//     sources ship every element with a nested hole for its children), so
+//     `holes_per_flight` reads how many one exchange answered. Every
+//     materialized answer is checked against the in-process evaluation of
+//     the same plan (`mismatches` must stay 0); the wall-clock ratio
+//     window=0 / window=8 is the tracked speedup.
 //
 // Each benchmark runs 5 repetitions and reports only the aggregates
 // (mean/median/stddev plus `min`): single runs on a shared VM vary too much
@@ -116,6 +120,14 @@ double MinOf(const std::vector<double>& v) {
   return *std::min_element(v.begin(), v.end());
 }
 
+/// Holes a readahead flight asked for, on average (0 without flights).
+double HolesPerFlight(const buffer::BufferComponent::Stats& stats) {
+  return stats.readahead_issued == 0
+             ? 0.0
+             : static_cast<double>(stats.readahead_holes) /
+                   static_cast<double>(stats.readahead_issued);
+}
+
 void BM_ReadaheadPagingWalk(benchmark::State& state) {
   const int window = static_cast<int>(state.range(0));
   wrappers::BookstoreSite site("store",
@@ -143,6 +155,7 @@ void BM_ReadaheadPagingWalk(benchmark::State& state) {
   state.counters["readahead_hits"] = static_cast<double>(stats.readahead_hits);
   state.counters["readahead_issued"] =
       static_cast<double>(stats.readahead_issued);
+  state.counters["holes_per_flight"] = HolesPerFlight(stats);
   state.counters["pages_fetched"] = static_cast<double>(pages_fetched);
 }
 BENCHMARK(BM_ReadaheadPagingWalk)
@@ -237,7 +250,7 @@ void BM_AsyncFillOverTcp(benchmark::State& state) {
   int64_t mismatches = 0;
   int64_t async_ops = 0;
   int64_t async_batches = 0;
-  int64_t readahead_hits = 0;
+  buffer::BufferComponent::Stats flights;
   for (auto _ : state) {
     std::vector<std::unique_ptr<RemoteSource>> remotes;
     mediator::SourceRegistry sources;
@@ -260,7 +273,10 @@ void BM_AsyncFillOverTcp(benchmark::State& state) {
     for (const auto& r : remotes) {
       async_ops += r->transport.async_ops();
       async_batches += r->transport.async_batches();
-      readahead_hits += r->buffer.stats().readahead_hits;
+      const buffer::BufferComponent::Stats stats = r->buffer.stats();
+      flights.readahead_issued += stats.readahead_issued;
+      flights.readahead_holes += stats.readahead_holes;
+      flights.readahead_hits += stats.readahead_hits;
     }
   }
   server.Stop();
@@ -272,8 +288,10 @@ void BM_AsyncFillOverTcp(benchmark::State& state) {
       static_cast<double>(async_ops), benchmark::Counter::kAvgIterations);
   state.counters["async_batches"] = benchmark::Counter(
       static_cast<double>(async_batches), benchmark::Counter::kAvgIterations);
-  state.counters["readahead_hits"] = benchmark::Counter(
-      static_cast<double>(readahead_hits), benchmark::Counter::kAvgIterations);
+  state.counters["readahead_hits"] =
+      benchmark::Counter(static_cast<double>(flights.readahead_hits),
+                         benchmark::Counter::kAvgIterations);
+  state.counters["holes_per_flight"] = HolesPerFlight(flights);
 }
 BENCHMARK(BM_AsyncFillOverTcp)
     ->ArgNames({"query", "window"})

@@ -46,7 +46,10 @@
 # for query:0 (the two-source join) and query:1 (the wide scan) — the
 # concurrent readahead window over 250us-latency TCP wrappers must cut the
 # join's wall clock by >= 1.5x — with mismatches (= 0), async_batches > 0
-# (real pipelined RoundTripMany on the wire) and readahead_hits > 0; and
+# (real pipelined RoundTripMany on the wire) and readahead_hits > 0. A
+# flight carries up to W queued holes, so at window:8 async_ops (one per
+# flight or demand batch) falls below the element count and
+# holes_per_flight rises above 1 on both queries. And
 # BM_ReadaheadPagingWalk's demand_fills / readahead_hits / pages_fetched
 # across window:0..4 (E7: fills the client waits for vs. fills a flight
 # answered, and the speculation cost in source pages).

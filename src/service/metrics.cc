@@ -82,9 +82,11 @@ std::string SessionMetrics::ToString() const {
          " misses=" + std::to_string(cache_misses) + "}" +
          " plan{rewrites=" + std::to_string(plan_rewrites) + "}" +
          " async{readahead=" + std::to_string(readahead_issued) +
+         " holes=" + std::to_string(readahead_holes) +
          " hits=" + std::to_string(readahead_hits) +
          " fills=" + std::to_string(readahead_fills) +
-         " fallbacks=" + std::to_string(readahead_fallbacks) + "}" +
+         " fallbacks=" + std::to_string(readahead_fallbacks) +
+         " orphaned=" + std::to_string(readahead_orphaned) + "}" +
          " view_served=" + std::to_string(view_served);
 }
 

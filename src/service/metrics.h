@@ -78,12 +78,16 @@ struct SessionMetrics {
   /// wrapper exchanges by construction).
   int64_t view_served = 0;
   /// Readahead window (DESIGN.md §4 "Async fill engine"): flights issued
-  /// / consumed / fills those spliced (a flight's own hole plus the
-  /// continuations it chased) / fallen back to the demand path.
+  /// / holes they asked for / flights consumed / fills those spliced (a
+  /// flight's holes plus the continuations it chased) / flights fallen back
+  /// to the demand path / flights dropped unread because another path
+  /// filled one of their holes first.
   int64_t readahead_issued = 0;
+  int64_t readahead_holes = 0;
   int64_t readahead_hits = 0;
   int64_t readahead_fills = 0;
   int64_t readahead_fallbacks = 0;
+  int64_t readahead_orphaned = 0;
 
   std::string ToString() const;
 };

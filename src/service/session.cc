@@ -223,9 +223,11 @@ void Session::RefreshSourceMetrics() {
   metrics_.cache_hits = 0;
   metrics_.cache_misses = 0;
   metrics_.readahead_issued = 0;
+  metrics_.readahead_holes = 0;
   metrics_.readahead_hits = 0;
   metrics_.readahead_fills = 0;
   metrics_.readahead_fallbacks = 0;
+  metrics_.readahead_orphaned = 0;
   metrics_.lxp = net::ChannelStats();
   for (const auto& buffer : buffers_) {
     buffer::BufferComponent::Stats s = buffer->stats();
@@ -237,9 +239,11 @@ void Session::RefreshSourceMetrics() {
     metrics_.cache_hits += s.cache_hits;
     metrics_.cache_misses += s.cache_misses;
     metrics_.readahead_issued += s.readahead_issued;
+    metrics_.readahead_holes += s.readahead_holes;
     metrics_.readahead_hits += s.readahead_hits;
     metrics_.readahead_fills += s.readahead_fills;
     metrics_.readahead_fallbacks += s.readahead_fallbacks;
+    metrics_.readahead_orphaned += s.readahead_orphaned;
   }
   for (const auto& channel : channels_) metrics_.lxp += channel->stats();
 }

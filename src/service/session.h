@@ -94,7 +94,8 @@ class SessionEnvironment {
     /// Default: no capability, optimizer passes that need one stay off.
     buffer::PushdownCapability capability;
     /// Readahead window per session buffer: up to this many flights, each
-    /// chasing up to this many fills along its continuation chain
+    /// carrying up to this many queued holes and asking for up to this many
+    /// fills, continuations included
     /// (BufferComponent::Options::max_in_flight); 0 = demand-only, the
     /// byte-identical baseline.
     int max_in_flight = 0;
