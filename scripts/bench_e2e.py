@@ -12,7 +12,10 @@ revs every seed runs both back to back, alternating which goes first, so
 drift of the host hits both sides alike. For each (label, workload, trace)
 the output keeps every run's value of every metric plus its min and median,
 the seeds, and the host (CPU model and count from the benchmark's "# env"
-line); its context maps each label to the git commit of its checkout (with
+line). Each row also keeps, per run and as min/median, the host load the
+"# env" line reports: the share of CPU time stolen by the hypervisor
+(steal_share) and the process CPU per command and per session — what tells
+host noise from a real move. Its context maps each label to the git commit of its checkout (with
 "+dirty" for uncommitted changes, null outside a git checkout). --out is
 written afresh: every row in it comes from this one invocation. --traced
 adds --trace 1 runs (the per-layer metrics) of the named workloads, of the
@@ -60,6 +63,10 @@ def revision(tree):
     return commit + ("+dirty" if dirty else "")
 
 
+# Host-load fields of the "# env" line kept per run (see the docstring).
+HOST_LOAD = ("steal_share", "cpu_us_per_cmd", "cpu_ms_per_session")
+
+
 def summarize(label, workload, trace, seconds, runs):
     metrics = {}
     for result, _ in runs:
@@ -69,6 +76,12 @@ def summarize(label, workload, trace, seconds, runs):
     for entry in metrics.values():
         entry["min"] = min(entry["runs"])
         entry["median"] = statistics.median(entry["runs"])
+    host_load = {}
+    for name in HOST_LOAD:
+        values = [e[name] for _, e in runs if e.get(name) is not None]
+        if values:
+            host_load[name] = {"runs": values, "min": min(values),
+                               "median": statistics.median(values)}
     env = runs[0][1]
     return {
         "label": label,
@@ -77,6 +90,7 @@ def summarize(label, workload, trace, seconds, runs):
         "seconds": seconds,
         "seeds": [e.get("seed") for _, e in runs],
         "host": {"cpu": env.get("cpu"), "nproc": env.get("nproc")},
+        "host_load": host_load,
         "correct": all(r["correct"] for r, _ in runs),
         "failed": sum(r["failed"] for r, _ in runs),
         "attempted": sum(r["attempted"] for r, _ in runs),
@@ -121,9 +135,11 @@ def main():
                     ok = False
                     continue
                 runs[label].append((result, env))
-                print("%s %s seed=%d trace=%d session_p50_ms=%s" %
+                print("%s %s seed=%d trace=%d session_p50_ms=%s "
+                      "steal_share=%s" %
                       (label, workload, seed, trace,
-                       result["metrics"].get("session_p50_ms", {}).get("value")),
+                       result["metrics"].get("session_p50_ms", {}).get("value"),
+                       env.get("steal_share")),
                       file=sys.stderr)
         for label, _ in revs:
             if runs[label]:

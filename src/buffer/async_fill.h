@@ -31,7 +31,7 @@
 namespace mix::buffer {
 
 /// Completion handle for one in-flight fill exchange. Created by
-/// LxpWrapper::BeginFill/BeginFillMany; completed exactly once by whoever
+/// LxpWrapper::BeginFillMany; completed exactly once by whoever
 /// owns the exchange (sync shim or transport dispatch thread).
 ///
 /// Thread-safe. `Complete` is idempotent-hostile by contract: a second call

@@ -127,12 +127,6 @@ Status BufferComponent::ValidateFragments(
   return Status::OK();
 }
 
-Status BufferComponent::ValidateFill(const FragmentList& fragments) const {
-  std::set<std::string> fresh;
-  return ValidateFragments(fragments, /*top_level=*/true, &fresh,
-                           /*consumed=*/nullptr);
-}
-
 Status BufferComponent::ValidateBatch(const std::vector<std::string>& requested,
                                       const HoleFillList& fills) const {
   // Two-phase discipline: the WHOLE response validates before ANY entry is
@@ -255,7 +249,10 @@ bool BufferComponent::TrySpliceFromCache(BNode* hole) {
   // held where the entry was published, but hole-id freshness is
   // per-buffer (a non-deterministic wrapper could collide). Treat a
   // failure as a miss and fall through to the wire.
-  if (!ValidateFill(*cached).ok()) {
+  std::set<std::string> fresh;
+  if (!ValidateFragments(*cached, /*top_level=*/true, &fresh,
+                         /*consumed=*/nullptr)
+           .ok()) {
     ++cache_misses_;
     return false;
   }
@@ -273,42 +270,45 @@ void BufferComponent::PublishFill(const std::string& hole_id,
                                      std::move(fragments));
 }
 
-Status BufferComponent::FillHole(BNode* hole) {
-  MIX_CHECK(hole->is_hole);
-  if (ConsumeInflight(hole)) return Status::OK();
-  if (TrySpliceFromCache(hole)) {
-    // The cached fill may have introduced holes the cache lacks: put them
-    // in flight now, not when navigation reaches them.
-    MaybeIssueReadahead();
-    return Status::OK();
+void BufferComponent::ChargeExchange(const std::vector<std::string>& ids,
+                                     const HoleFillList* fills) {
+  net::Channel* channel = options_.channel;
+  if (channel == nullptr) return;
+  channel->SendBatch(FillManyRequestBytes(ids),
+                     static_cast<int64_t>(ids.size()));
+  if (fills == nullptr) {
+    channel->Send(16);  // error response
+    return;
   }
-  const std::string hole_id = hole->hole_id;
-  Status s = RunWithRetry([&]() {
-    FragmentList fragments;
-    NotifyBeforeBlock();
-    Status st = wrapper_->TryFill(hole_id, &fragments);
-    // Every attempt crosses the link: request plus a (possibly tiny error)
-    // response. Recovery cost is visible in the channel accounting.
-    Charge(16 + static_cast<int64_t>(hole_id.size()),
-           st.ok() ? FragmentListByteSize(fragments) : 16);
-    if (!st.ok()) return st;
-    st = ValidateFill(fragments);
-    if (!st.ok()) return st;
-    ++fill_count_;
-    Splice(hole, fragments);
-    // Publish only after the fill validated and spliced — a degraded
-    // (#unavailable) answer can never reach the shared cache.
-    PublishFill(hole_id, std::move(fragments));
-    return Status::OK();
-  });
-  // Exhausted retries or a permanent refusal degrade the hole; a deadline
-  // leaves it intact for a later, better-funded command.
-  if (!s.ok() && hole->is_hole &&
-      s.code() != Status::Code::kDeadlineExceeded) {
-    MarkUnavailable(hole);
+  // One entry is a plain fill: the response frame is the entry, so it
+  // carries no per-entry framing. An empty (rejected) response still
+  // crossed the link as one message.
+  const int64_t entries = static_cast<int64_t>(fills->size());
+  channel->SendBatch(entries == 1
+                         ? FragmentListByteSize(fills->front().fragments)
+                         : HoleFillListByteSize(*fills),
+                     std::max<int64_t>(entries, 1));
+}
+
+Status BufferComponent::AcceptExchange(const std::vector<std::string>& ids,
+                                       HoleFillList* fills) {
+  Status s = ValidateBatch(ids, *fills);
+  if (!s.ok()) return s;
+  // The response validated as a whole; application cannot fail.
+  ChargeExchange(ids, fills);
+  fill_count_ += static_cast<int64_t>(fills->size());
+  for (HoleFill& f : *fills) {
+    auto it = hole_by_id_.find(f.hole_id);
+    MIX_CHECK(it != hole_by_id_.end());
+    BNode* hole = by_index_[static_cast<size_t>(it->second)];
+    MIX_CHECK(hole->is_hole);
+    Splice(hole, f.fragments);
+    // Every entry — requested holes AND chased continuations — is a
+    // validated fill other sessions can reuse. Publishing only after the
+    // splice keeps degraded (#unavailable) answers out of the cache.
+    PublishFill(f.hole_id, std::move(f.fragments));
   }
-  if (s.ok()) MaybeIssueReadahead();
-  return s;
+  return Status::OK();
 }
 
 Status BufferComponent::FillHolesBatch(const std::vector<BNode*>& holes,
@@ -331,14 +331,14 @@ Status BufferComponent::FillHolesBatch(const std::vector<BNode*>& holes,
   // (consuming one flight issues the next ones).
   std::erase_if(wire_holes, [](const BNode* h) { return !h->is_hole; });
   if (wire_holes.empty()) {
-    MaybeIssueReadahead();  // as in FillHole, after cache-served fills
+    // The spliced hits may have introduced holes the cache lacks: put them
+    // in flight now, not when navigation reaches them.
+    MaybeIssueReadahead();
     return Status::OK();
   }
   std::vector<std::string> ids;
   ids.reserve(wire_holes.size());
   for (BNode* h : wire_holes) ids.push_back(h->hole_id);
-  const int64_t request_bytes = FillManyRequestBytes(ids);
-  net::Channel* channel = options_.channel;
   Status s = RunWithRetry([&]() {
     HoleFillList fills;
     // Demand fills ride the async submit/complete seam too: over a sync
@@ -347,31 +347,15 @@ Status BufferComponent::FillHolesBatch(const std::vector<BNode*>& holes,
     // the same dispatch machinery as readahead flights.
     NotifyBeforeBlock();
     Status st = wrapper_->BeginFillMany(ids, budget)->Wait(&fills);
-    if (channel != nullptr) {
-      channel->SendBatch(request_bytes, static_cast<int64_t>(ids.size()));
-      if (st.ok()) {
-        channel->SendBatch(HoleFillListByteSize(fills),
-                           static_cast<int64_t>(fills.size()));
-      } else {
-        channel->Send(16);  // error response
-      }
+    if (!st.ok()) {
+      ChargeExchange(ids, nullptr);
+      return st;
     }
-    if (!st.ok()) return st;
-    st = ValidateBatch(ids, fills);
-    if (!st.ok()) return st;
-    // The response validated as a whole; application cannot fail.
-    fill_count_ += static_cast<int64_t>(fills.size());
-    for (HoleFill& f : fills) {
-      auto it = hole_by_id_.find(f.hole_id);
-      MIX_CHECK(it != hole_by_id_.end());
-      BNode* hole = by_index_[static_cast<size_t>(it->second)];
-      MIX_CHECK(hole->is_hole);
-      Splice(hole, f.fragments);
-      // Every entry — requested holes AND chased continuations — is a
-      // validated fill other sessions can reuse.
-      PublishFill(f.hole_id, std::move(f.fragments));
-    }
-    return Status::OK();
+    st = AcceptExchange(ids, &fills);
+    // Every attempt crosses the link, a rejected response included:
+    // recovery cost is visible in the channel accounting.
+    if (!st.ok()) ChargeExchange(ids, &fills);
+    return st;
   });
   if (!s.ok() && s.code() != Status::Code::kDeadlineExceeded) {
     for (BNode* h : wire_holes) {
@@ -447,7 +431,9 @@ Status BufferComponent::ChaseFirst(BNode* parent, size_t pos, BNode** out) {
       *out = n;
       return Status::OK();
     }
-    Status s = FillHole(n);
+    // Demand paging: "I need the first element" — one exchange, which a
+    // readahead flight (always bounded by fill count) never looks like.
+    Status s = FillHolesBatch({n}, FillBudget{/*elements=*/1, /*fills=*/-1});
     if (!s.ok()) {
       // Still a hole: the deadline cut the fill short and the position
       // cannot be resolved this command. Degraded: the hole became an
@@ -537,7 +523,9 @@ bool BufferComponent::ConsumeInflight(BNode* hole) {
   HoleFillList fills;
   if (!flight->future->Ready()) NotifyBeforeBlock();
   Status s = flight->future->Wait(&fills);
-  if (s.ok()) s = ValidateBatch(flight->holes, fills);
+  // Charged like a demand batch on the same holes (which may chase too):
+  // the consumed flight substitutes for the demand exchange it saved.
+  if (s.ok()) s = AcceptExchange(flight->holes, &fills);
   if (!s.ok()) {
     // Failed or stale flight: fall back to the sync demand path, which
     // owns retry/degradation semantics — answers stay byte-identical to a
@@ -545,24 +533,6 @@ bool BufferComponent::ConsumeInflight(BNode* hole) {
     ++readahead_fallbacks_;
     chase_depth_ = 1;
     return false;
-  }
-  // Same charging shape as a demand FillHolesBatch on the same holes (which
-  // may chase too): the consumed flight substitutes for the demand exchange
-  // it saved, and its chased entries ride in the same response.
-  if (options_.channel != nullptr) {
-    options_.channel->SendBatch(FillManyRequestBytes(flight->holes),
-                                static_cast<int64_t>(flight->holes.size()));
-    options_.channel->SendBatch(HoleFillListByteSize(fills),
-                                static_cast<int64_t>(fills.size()));
-  }
-  fill_count_ += static_cast<int64_t>(fills.size());
-  for (HoleFill& f : fills) {
-    auto hit = hole_by_id_.find(f.hole_id);
-    MIX_CHECK(hit != hole_by_id_.end());
-    BNode* target = by_index_[static_cast<size_t>(hit->second)];
-    MIX_CHECK(target->is_hole);
-    Splice(target, f.fragments);
-    PublishFill(f.hole_id, std::move(f.fragments));
   }
   // The window found the holes missing from the cache when it issued the
   // flight; a fallback counts each miss in TrySpliceFromCache instead.

@@ -250,8 +250,6 @@ class BufferComponent : public Navigable {
   Status ValidateFragments(const FragmentList& list, bool top_level,
                            std::set<std::string>* fresh,
                            const std::set<std::string>* consumed) const;
-  /// One complete fill response for a single hole.
-  Status ValidateFill(const FragmentList& fragments) const;
   /// One complete FillMany response: every entry refines, at most once,
   /// either a requested hole or a continuation hole an earlier entry
   /// introduced; every requested hole is answered; every fragment list is
@@ -266,9 +264,26 @@ class BufferComponent : public Navigable {
   /// Options::clock and respecting the command deadline. Folds the outcome
   /// into the fault counters.
   Status RunWithRetry(const std::function<Status()>& op);
-  Status FillHole(BNode* hole);
+  /// The one fill exchange. Serves `holes` from consumed readahead flights
+  /// and the shared cache where it can, and sends the rest as one
+  /// BeginFillMany under the retry policy. A single hole's demand fill is
+  /// the one-hole case with budget {elements = 1}; readahead flights are
+  /// always fill-bounded, so the two stay distinguishable to a wrapper.
+  /// Holes whose exchange fails for good degrade to #unavailable.
   Status FillHolesBatch(const std::vector<BNode*>& holes,
                         const FillBudget& budget);
+  /// Charges one exchange to Options::channel: the request naming `ids`
+  /// and the response `fills` (nullptr: a small error frame). A one-entry
+  /// response is charged as a plain fill, without per-entry framing.
+  void ChargeExchange(const std::vector<std::string>& ids,
+                      const HoleFillList* fills);
+  /// Validates the response to an exchange that asked for `ids` and, when
+  /// it passes, charges it, counts its entries as fills, splices every
+  /// entry and publishes it to the shared cache. The entries' fragments
+  /// are moved out; the list keeps its length. A rejected response leaves
+  /// the tree and the channel untouched.
+  Status AcceptExchange(const std::vector<std::string>& ids,
+                        HoleFillList* fills);
   /// Batch-fills until `parent`'s child list contains no holes (degraded
   /// holes count as done). Returns the first error; stops early only on
   /// kDeadlineExceeded (nothing was degraded, so looping cannot progress).

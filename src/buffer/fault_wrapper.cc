@@ -43,34 +43,6 @@ Status FaultyLxpWrapper::TryGetRoot(const std::string& uri, std::string* out) {
   return inner_->TryGetRoot(uri, out);
 }
 
-Status FaultyLxpWrapper::TryFill(const std::string& hole_id, FragmentList* out) {
-  FaultDecision d = policy_.Decide(hole_id);
-  if (d.kind == FaultKind::kFail) return policy_.FailStatus();
-  Status s = inner_->TryFill(hole_id, out);
-  if (!s.ok()) return s;
-  switch (d.kind) {
-    case FaultKind::kTruncate:
-      // The payload was lost in transit; what arrives is detectably
-      // incomplete (an all-hole fill violates the progress conditions).
-      *out = FragmentList{Fragment::Hole(hole_id + "#trunc")};
-      break;
-    case FaultKind::kGarble:
-      // Two adjacent holes — illegal anywhere in a fill.
-      out->push_back(Fragment::Hole(hole_id + "#g1"));
-      out->push_back(Fragment::Hole(hole_id + "#g2"));
-      break;
-    case FaultKind::kDuplicate:
-      // Reuse the very hole id being refined — the buffer's freshness
-      // check must reject it.
-      out->push_back(Fragment::Element("#dup"));
-      out->push_back(Fragment::Hole(hole_id));
-      break;
-    default:
-      break;
-  }
-  return s;
-}
-
 Status FaultyLxpWrapper::TryFillMany(const std::vector<std::string>& holes,
                                      const FillBudget& budget,
                                      HoleFillList* out) {

@@ -3,10 +3,9 @@
 // Wraps any wrapper and, per exchange, injects the failure modes a live
 // source exhibits: refusals (fail-with-Status / fail-N-then-succeed),
 // stalls (SimClock delays), and corrupt responses. Corruption is always
-// *protocol-detectable* — an all-hole list, adjacent holes, a reused or
-// re-refined hole id, a dropped batch entry — never a plausible wrong
-// answer, so a buffer that validates fills either recovers byte-exactly or
-// reports a typed error; it can never silently serve injected garbage.
+// *protocol-detectable* — a dropped requested entry, adjacent holes, a
+// re-refined hole id — never a plausible wrong answer, so a buffer that
+// validates fills either recovers byte-exactly or reports a typed error; it can never silently serve injected garbage.
 //
 // Determinism: decisions come from a seeded FaultPolicy, so a test that
 // fixes the seed replays the exact same fault schedule every run.
@@ -36,14 +35,16 @@ class FaultyLxpWrapper : public LxpWrapper {
   net::FaultPolicy& policy() { return policy_; }
 
   // Legacy (infallible) path: fault-free passthrough. The buffer talks to
-  // wrappers exclusively through Try*, which is where injection lives.
+  // wrappers only through TryGetRoot and BeginFillMany, whose sync shim
+  // runs TryFillMany (every fill, a single hole's included, is a fill_many
+  // exchange), so those two are where injection lives.
   std::string GetRoot(const std::string& uri) override;
   FragmentList Fill(const std::string& hole_id) override;
   HoleFillList FillMany(const std::vector<std::string>& holes,
                         const FillBudget& budget) override;
 
   Status TryGetRoot(const std::string& uri, std::string* out) override;
-  Status TryFill(const std::string& hole_id, FragmentList* out) override;
+  /// One decision per exchange, keyed on its first requested hole.
   Status TryFillMany(const std::vector<std::string>& holes,
                      const FillBudget& budget, HoleFillList* out) override;
 

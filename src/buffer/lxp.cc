@@ -116,12 +116,6 @@ std::shared_ptr<FillFuture> LxpWrapper::BeginFillMany(
   return FillFuture::Resolved(std::move(status), std::move(fills));
 }
 
-std::shared_ptr<FillFuture> LxpWrapper::BeginFill(const std::string& hole_id) {
-  // fills=1: serve exactly the requested hole, no chasing — single-Fill
-  // semantics behind the async seam.
-  return BeginFillMany({hole_id}, FillBudget{/*elements=*/-1, /*fills=*/1});
-}
-
 HoleFillList LxpWrapper::ChaseFills(const std::vector<std::string>& holes,
                                     const FillBudget& budget) {
   HoleFillList out;

@@ -77,7 +77,9 @@ int64_t HoleFillListByteSize(const HoleFillList& fills);
 struct FillBudget {
   /// Stop chasing once this many top-level (non-hole) fragments have been
   /// emitted across the whole batch — demand paging: "I need k more
-  /// siblings, stop as soon as you have shipped them".
+  /// siblings, stop as soon as you have shipped them". The buffer's
+  /// single-hole demand fill asks for {elements = 1}: "I need the first
+  /// element" — one fill from a wrapper that keeps the progress conditions.
   int64_t elements = -1;
   /// Stop chasing once this many fills have been performed (the requested
   /// holes always count, and are always all served) — speculation depth:
@@ -145,12 +147,15 @@ class LxpWrapper {
                                 const FillBudget& budget);
 
   /// Status-returning variants — the fallible face of the same protocol.
-  /// The buffer calls ONLY these: a wrapper backed by a real network (the
-  /// framed stub, a fault-injecting decorator) overrides them to report
+  /// The buffer calls exactly two faces: TryGetRoot and BeginFillMany (whose
+  /// sync shim runs TryFillMany). Every fill it issues, a single hole's
+  /// included, is one fill_many exchange. A wrapper backed by a real network
+  /// (the framed stub, a fault-injecting decorator) overrides them to report
   /// transport failures as Status instead of fabricating empty results,
   /// which is what lets the buffer retry, back off, or degrade instead of
   /// aborting. The defaults delegate to the legacy methods and always
-  /// succeed, so existing in-process wrappers need no changes.
+  /// succeed, so existing in-process wrappers need no changes. TryFill is
+  /// the single-hole convenience for wrappers that forward to one another.
   virtual Status TryGetRoot(const std::string& uri, std::string* out);
   virtual Status TryFill(const std::string& hole_id, FragmentList* out);
   virtual Status TryFillMany(const std::vector<std::string>& holes,
@@ -174,9 +179,6 @@ class LxpWrapper {
   /// transport, not inside a wrapper instance.
   virtual std::shared_ptr<FillFuture> BeginFillMany(
       const std::vector<std::string>& holes, const FillBudget& budget);
-
-  /// Single-hole convenience over BeginFillMany.
-  std::shared_ptr<FillFuture> BeginFill(const std::string& hole_id);
 
  protected:
   /// Budgeted chasing loop shared by the concrete wrappers: serves each

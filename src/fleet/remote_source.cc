@@ -4,6 +4,8 @@
 #include <utility>
 
 #include "core/status.h"
+#include "net/tcp/tcp_transport.h"
+#include "service/wire.h"
 
 namespace mix::fleet {
 
@@ -64,49 +66,13 @@ buffer::HoleFillList ViewLxpWrapper::FillMany(
   return ChaseFills(holes, budget);
 }
 
-// ---------------------------------------------------------------------------
-// RemoteLxpSource
-
-RemoteLxpSource::RemoteLxpSource(
-    std::unique_ptr<service::wire::FrameTransport> transport, std::string uri)
-    : transport_(std::move(transport)),
-      stub_(transport_.get(), std::move(uri)) {}
-
-std::string RemoteLxpSource::GetRoot(const std::string& uri) {
-  return stub_.GetRoot(uri);
-}
-
-buffer::FragmentList RemoteLxpSource::Fill(const std::string& hole_id) {
-  return stub_.Fill(hole_id);
-}
-
-buffer::HoleFillList RemoteLxpSource::FillMany(
-    const std::vector<std::string>& holes, const buffer::FillBudget& budget) {
-  return stub_.FillMany(holes, budget);
-}
-
-Status RemoteLxpSource::TryGetRoot(const std::string& uri, std::string* out) {
-  return stub_.TryGetRoot(uri, out);
-}
-
-Status RemoteLxpSource::TryFill(const std::string& hole_id,
-                                buffer::FragmentList* out) {
-  return stub_.TryFill(hole_id, out);
-}
-
-Status RemoteLxpSource::TryFillMany(const std::vector<std::string>& holes,
-                                    const buffer::FillBudget& budget,
-                                    buffer::HoleFillList* out) {
-  return stub_.TryFillMany(holes, budget, out);
-}
-
 std::function<std::unique_ptr<buffer::LxpWrapper>()> RemoteSourceFactory(
     std::string host, uint16_t port, std::string uri) {
   return [host = std::move(host), port, uri = std::move(uri)]() {
     net::tcp::TcpTransportOptions options;
     options.host = host;
     options.port = port;
-    return std::make_unique<RemoteLxpSource>(
+    return std::make_unique<service::wire::FramedLxpWrapper>(
         std::make_unique<net::tcp::TcpFrameTransport>(options), uri);
   };
 }

@@ -7,7 +7,7 @@
 // * ViewLxpWrapper — the EXPORT side: turns any Navigable (in particular a
 //   client::FramedDocument session into another instance's virtual view)
 //   into an LxpWrapper, which SessionEnvironment::ExportWrapper then serves
-//   over kLxpGetRoot/kLxpFill/kLxpFillMany frames. Hole ids are "v:<n>"
+//   over kLxpGetRoot/kLxpFillMany frames. Hole ids are "v:<n>"
 //   handles into an internal table mapping n -> the NodeId whose remaining
 //   sibling list the hole stands for (NodeIds are structured terms with no
 //   textual parser, so the table — not the id string — carries the
@@ -15,12 +15,13 @@
 //   Fills are deterministic per hole id, so the downstream instance may
 //   cache them.
 //
-// * RemoteLxpSource — the IMPORT side: an owning TcpFrameTransport +
-//   FramedLxpWrapper composite. RemoteSourceFactory mints one per session
-//   (its own connection, matching the one-stream-per-client transport
-//   contract), which is exactly the shape RegisterWrapperFactory wants —
-//   registering instance A's exported view as a demand-paged source of
-//   instance B is one call:
+// * RemoteSourceFactory — the IMPORT side: mints, per session, a
+//   service::wire::FramedLxpWrapper that owns its TcpFrameTransport (its
+//   own connection, matching the one-stream-per-client transport
+//   contract). The stub's BeginFillMany is natively async, so readahead
+//   flights on an imported source really are in flight. That is exactly the
+//   shape RegisterWrapperFactory wants — registering instance A's exported
+//   view as a demand-paged source of instance B is one call:
 //
 //     env.RegisterWrapperFactory("upstream",
 //         fleet::RemoteSourceFactory("127.0.0.1", port_a, "view-uri"),
@@ -36,8 +37,6 @@
 
 #include "buffer/lxp.h"
 #include "core/navigable.h"
-#include "net/tcp/tcp_transport.h"
-#include "service/wire.h"
 
 namespace mix::fleet {
 
@@ -82,36 +81,10 @@ class ViewLxpWrapper : public buffer::LxpWrapper {
   int64_t fill_size_hint_ = 0;
 };
 
-/// An upstream instance's exported view as a self-contained LxpWrapper: the
-/// composite owns its TCP connection and the framed stub over it. One
-/// instance per session (connections are single-stream).
-class RemoteLxpSource : public buffer::LxpWrapper {
- public:
-  RemoteLxpSource(std::unique_ptr<service::wire::FrameTransport> transport,
-                  std::string uri);
-
-  std::string GetRoot(const std::string& uri) override;
-  buffer::FragmentList Fill(const std::string& hole_id) override;
-  buffer::HoleFillList FillMany(const std::vector<std::string>& holes,
-                                const buffer::FillBudget& budget) override;
-
-  Status TryGetRoot(const std::string& uri, std::string* out) override;
-  Status TryFill(const std::string& hole_id,
-                 buffer::FragmentList* out) override;
-  Status TryFillMany(const std::vector<std::string>& holes,
-                     const buffer::FillBudget& budget,
-                     buffer::HoleFillList* out) override;
-
-  const Status& last_status() const { return stub_.last_status(); }
-
- private:
-  std::unique_ptr<service::wire::FrameTransport> transport_;
-  service::wire::FramedLxpWrapper stub_;
-};
-
 /// Session-wrapper factory dialing `host:port` and serving `uri` — the value
 /// to hand SessionEnvironment::RegisterWrapperFactory when the source is
-/// another mixd across the network.
+/// another mixd across the network. Each call returns a framed stub owning
+/// a fresh TCP connection (connections are single-stream).
 std::function<std::unique_ptr<buffer::LxpWrapper>()> RemoteSourceFactory(
     std::string host, uint16_t port, std::string uri);
 

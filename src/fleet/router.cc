@@ -151,7 +151,6 @@ Result<std::string> RoutedSessionTransport::RoundTrip(
     case wire::MsgType::kOpen:
       return HandleOpen(std::move(request));
     case wire::MsgType::kLxpGetRoot:
-    case wire::MsgType::kLxpFill:
     case wire::MsgType::kLxpFillMany:
       return HandleLxp(request);
     case wire::MsgType::kMetrics:

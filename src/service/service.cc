@@ -20,8 +20,7 @@ std::chrono::steady_clock::time_point DeadlineFor(const Frame& request) {
 }
 
 bool IsLxp(MsgType t) {
-  return t == MsgType::kLxpGetRoot || t == MsgType::kLxpFill ||
-         t == MsgType::kLxpFillMany;
+  return t == MsgType::kLxpGetRoot || t == MsgType::kLxpFillMany;
 }
 
 /// Session commands CallInline may run on the calling thread. kOpen
@@ -148,7 +147,6 @@ uint64_t MediatorService::KeyForRequest(const Frame& request,
       return open_key.fetch_add(1, std::memory_order_relaxed);
     }
     case MsgType::kLxpGetRoot:
-    case MsgType::kLxpFill:
     case MsgType::kLxpFillMany: {
       auto it = wrapper_keys_.find(request.text);
       if (it == wrapper_keys_.end()) {
@@ -357,27 +355,28 @@ Frame MediatorService::ExecuteLxp(const Frame& request) {
         Status::NotFound("no exported wrapper '" + request.text + "'"));
   }
   buffer::LxpWrapper* wrapper = it->second;
+  // Served through the fallible face: an exported wrapper that is itself a
+  // relay (a framed stub whose upstream failed) or a fault decorator
+  // reports its failure as an error frame, never as an empty — and
+  // therefore plausible — refinement.
   Frame f;
+  Status s;
   switch (request.type) {
     case MsgType::kLxpGetRoot:
       f.type = MsgType::kLxpRoot;
-      f.text = wrapper->GetRoot(request.text);
-      return f;
-    case MsgType::kLxpFill:
-      f.type = MsgType::kLxpFillResp;
-      f.fragments = wrapper->Fill(request.text2);
-      return f;
-    case MsgType::kLxpFillMany: {
+      s = wrapper->TryGetRoot(request.text, &f.text);
+      break;
+    case MsgType::kLxpFillMany:
       f.type = MsgType::kLxpFills;
-      buffer::FillBudget budget;
-      budget.elements = request.number;
-      budget.fills = request.number2;
-      f.hole_fills = wrapper->FillMany(request.strings, budget);
-      return f;
-    }
+      s = wrapper->TryFillMany(
+          request.strings, buffer::FillBudget{request.number, request.number2},
+          &f.hole_fills);
+      break;
     default:
-      return Frame::Error(Status::Internal("non-LXP frame in LXP path"));
+      s = Status::Internal("non-LXP frame in LXP path");
   }
+  if (!s.ok()) return Frame::Error(s);
+  return f;
 }
 
 Frame MediatorService::ExecuteNavigation(const Frame& request,

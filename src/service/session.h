@@ -112,8 +112,10 @@ class SessionEnvironment {
                            WrapperOptions());
   }
 
-  /// Exports `wrapper` for remote LXP serving (wire kLxpGetRoot/kLxpFill/
-  /// kLxpFillMany frames address it by `uri`). By default the service
+  /// Exports `wrapper` for remote LXP serving (wire kLxpGetRoot/kLxpFillMany
+  /// frames address it by `uri`; the service calls its TryGetRoot/
+  /// TryFillMany faces and answers a failure with an error frame). By
+  /// default the service
   /// serializes access per exported wrapper, so `wrapper` itself needs no
   /// locking. `concurrent = true` opts out of that serialization: pipelined
   /// exchanges for the same uri then run on multiple workers at once (a

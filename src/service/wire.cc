@@ -8,10 +8,15 @@ namespace {
 
 constexpr uint8_t kMagic0 = 'M';
 constexpr uint8_t kMagic1 = 'X';
-constexpr uint8_t kVersion = 1;
+// Version 2 retired the single-hole fill pair (types 13 and 72) and the
+// payload's fragment list that only they used.
+constexpr uint8_t kVersion = 2;
 constexpr size_t kHeaderBytes = 8;  // len(4) + magic(2) + version(1) + type(1)
+constexpr uint8_t kRetiredLxpFill = 13;
+constexpr uint8_t kRetiredLxpFillResp = 72;
 
 bool KnownType(uint8_t t) {
+  if (t == kRetiredLxpFill || t == kRetiredLxpFillResp) return false;
   return (t >= static_cast<uint8_t>(MsgType::kOpen) &&
           t <= static_cast<uint8_t>(MsgType::kMetrics)) ||
          (t >= static_cast<uint8_t>(MsgType::kError) &&
@@ -277,8 +282,6 @@ std::string EncodeFrame(const Frame& frame) {
   for (const std::string& s : frame.strings) PutStr(&payload, s);
   PutU32(&payload, static_cast<uint32_t>(frame.entries.size()));
   for (const SubtreeEntry& e : frame.entries) PutSubtreeEntry(&payload, e);
-  PutU32(&payload, static_cast<uint32_t>(frame.fragments.size()));
-  for (const buffer::Fragment& f : frame.fragments) PutFragment(&payload, f);
   PutU32(&payload, static_cast<uint32_t>(frame.hole_fills.size()));
   for (const buffer::HoleFill& hf : frame.hole_fills) {
     PutStr(&payload, hf.hole_id);
@@ -392,11 +395,6 @@ Result<Frame> DecodeFrame(std::string_view bytes, size_t* consumed) {
     frame.entries.push_back(ReadSubtreeEntry(&r));
   }
   n = r.ReadListLen();
-  frame.fragments.reserve(n);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    frame.fragments.push_back(ReadFragment(&r, 0));
-  }
-  n = r.ReadListLen();
   frame.hole_fills.reserve(n);
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
     buffer::HoleFill hf;
@@ -416,14 +414,35 @@ Result<Frame> DecodeFrame(std::string_view bytes, size_t* consumed) {
   return frame;
 }
 
-Result<Frame> Call(FrameTransport* transport, const Frame& request) {
-  Result<std::string> bytes = transport->RoundTrip(EncodeFrame(request));
+namespace {
+
+/// A round trip's outcome as one Result: transport failure, undecodable
+/// bytes and a peer's kError frame all come back as the error.
+Result<Frame> DecodeResponse(const Result<std::string>& bytes) {
   if (!bytes.ok()) return bytes.status();
   Result<Frame> response = DecodeFrame(bytes.value());
   if (!response.ok()) return response.status();
   Status err = response.value().ToStatus();
   if (!err.ok()) return err;
   return response;
+}
+
+Frame FillManyRequest(const std::string& uri,
+                      const std::vector<std::string>& holes,
+                      const buffer::FillBudget& budget) {
+  Frame req;
+  req.type = MsgType::kLxpFillMany;
+  req.text = uri;
+  req.strings = holes;
+  req.number = budget.elements;
+  req.number2 = budget.fills;
+  return req;
+}
+
+}  // namespace
+
+Result<Frame> Call(FrameTransport* transport, const Frame& request) {
+  return DecodeResponse(transport->RoundTrip(EncodeFrame(request)));
 }
 
 Status FramedLxpWrapper::TryGetRoot(const std::string& uri, std::string* out) {
@@ -443,44 +462,31 @@ Status FramedLxpWrapper::TryGetRoot(const std::string& uri, std::string* out) {
 
 Status FramedLxpWrapper::TryFill(const std::string& hole_id,
                                  buffer::FragmentList* out) {
-  Frame req;
-  req.type = MsgType::kLxpFill;
-  req.text = uri_;
-  req.text2 = hole_id;
-  Result<Frame> resp = Call(transport_, req);
-  if (!resp.ok()) {
-    last_status_ = resp.status();
-    return resp.status();
+  buffer::HoleFillList fills;
+  Status s = TryFillMany({hole_id}, buffer::FillBudget{/*elements=*/-1,
+                                                       /*fills=*/1},
+                         &fills);
+  if (!s.ok()) return s;
+  if (fills.empty() || fills.front().hole_id != hole_id) {
+    last_status_ = Status::InvalidArgument(
+        "LXP batch violation: requested hole '" + hole_id + "' not answered");
+    return last_status_;
   }
-  *out = std::move(resp.value().fragments);
+  *out = std::move(fills.front().fragments);
   return Status::OK();
 }
 
 std::shared_ptr<buffer::FillFuture> FramedLxpWrapper::BeginFillMany(
     const std::vector<std::string>& holes, const buffer::FillBudget& budget) {
-  Frame req;
-  req.type = MsgType::kLxpFillMany;
-  req.text = uri_;
-  req.strings = holes;
-  req.number = budget.elements;
-  req.number2 = budget.fills;
   auto future = std::make_shared<buffer::FillFuture>();
   // The completion owns only the future: decoding is static, so the stub
   // (and its session) may die mid-flight without a dangling capture.
   transport_->RoundTripAsync(
-      EncodeFrame(req), [future](Result<std::string> bytes) {
-        if (!bytes.ok()) {
-          future->Complete(bytes.status(), {});
-          return;
-        }
-        Result<Frame> resp = DecodeFrame(bytes.value());
+      EncodeFrame(FillManyRequest(uri_, holes, budget)),
+      [future](Result<std::string> bytes) {
+        Result<Frame> resp = DecodeResponse(bytes);
         if (!resp.ok()) {
           future->Complete(resp.status(), {});
-          return;
-        }
-        Status err = resp.value().ToStatus();
-        if (!err.ok()) {
-          future->Complete(err, {});
           return;
         }
         future->Complete(Status::OK(), std::move(resp.value().hole_fills));
@@ -491,13 +497,7 @@ std::shared_ptr<buffer::FillFuture> FramedLxpWrapper::BeginFillMany(
 Status FramedLxpWrapper::TryFillMany(const std::vector<std::string>& holes,
                                      const buffer::FillBudget& budget,
                                      buffer::HoleFillList* out) {
-  Frame req;
-  req.type = MsgType::kLxpFillMany;
-  req.text = uri_;
-  req.strings = holes;
-  req.number = budget.elements;
-  req.number2 = budget.fills;
-  Result<Frame> resp = Call(transport_, req);
+  Result<Frame> resp = Call(transport_, FillManyRequest(uri_, holes, budget));
   if (!resp.ok()) {
     last_status_ = resp.status();
     return resp.status();

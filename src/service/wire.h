@@ -4,8 +4,9 @@
 // answer documents and drive DOM-VXD dialogues against it over a network.
 // This codec gives those dialogues a concrete wire shape: every DOM-VXD
 // command (d/r/f/σ, NthChild, and the vectored DownAll/NextSiblings/
-// FetchSubtree forms) and every LXP command (get_root/fill/fill_many) is one
-// length-prefixed frame, answered by one response frame.
+// FetchSubtree forms) and both LXP commands (get_root, and fill as
+// fill_many: a single-hole fill is a one-hole list) is one length-prefixed
+// frame, answered by one response frame.
 //
 // Because node-ids are self-describing Skolem terms (node_id.h), they
 // serialize structurally and the server needs *no* per-client pointer table:
@@ -36,7 +37,9 @@
 namespace mix::service::wire {
 
 /// Frame types. Requests are < 64, responses >= 64; anything else is a
-/// corrupt tag and fails decoding.
+/// corrupt tag and fails decoding. So do 13 and 72, the single-hole
+/// kLxpFill/kLxpFillResp pair of wire version 1: a one-hole kLxpFillMany
+/// is the same exchange.
 enum class MsgType : uint8_t {
   // --- session / DOM-VXD requests ---
   kOpen = 1,          ///< text = XMAS query; response kOpenOk.
@@ -52,7 +55,6 @@ enum class MsgType : uint8_t {
   kFetchSubtree = 11, ///< node = p, number = depth; response kSubtree.
   // --- LXP requests (remote wrapper serving) ---
   kLxpGetRoot = 12,   ///< text = uri; response kLxpRoot.
-  kLxpFill = 13,      ///< text = uri, text2 = hole id; response kLxpFillResp.
   kLxpFillMany = 14,  ///< text = uri, strings = holes, number/number2 =
                       ///< budget (elements, fills); response kLxpFills.
   kMetrics = 15,      ///< response kMetricsText (service-wide snapshot).
@@ -66,7 +68,6 @@ enum class MsgType : uint8_t {
   kNodeList = 69,     ///< nodes.
   kSubtree = 70,      ///< entries.
   kLxpRoot = 71,      ///< text = root hole id.
-  kLxpFillResp = 72,  ///< fragments.
   kLxpFills = 73,     ///< hole_fills.
   kMetricsText = 74,  ///< text = rendered snapshot.
 };
@@ -90,7 +91,6 @@ struct Frame {
   std::vector<NodeId> nodes;
   std::vector<std::string> strings;
   std::vector<SubtreeEntry> entries;
-  buffer::FragmentList fragments;
   buffer::HoleFillList hole_fills;
 
   /// Convenience constructors for the common response shapes.
@@ -174,8 +174,16 @@ Result<Frame> Call(FrameTransport* transport, const Frame& request);
 /// same open-tree machinery as a local one.
 class FramedLxpWrapper : public buffer::LxpWrapper {
  public:
+  /// Non-owning: `transport` must outlive the stub.
   FramedLxpWrapper(FrameTransport* transport, std::string uri)
       : transport_(transport), uri_(std::move(uri)) {}
+  /// Owning variant — one connection per stub, which is what a per-session
+  /// wrapper factory for a remote source hands over (fleet::
+  /// RemoteSourceFactory).
+  FramedLxpWrapper(std::unique_ptr<FrameTransport> transport, std::string uri)
+      : owned_(std::move(transport)),
+        transport_(owned_.get()),
+        uri_(std::move(uri)) {}
 
   std::string GetRoot(const std::string& uri) override;
   buffer::FragmentList Fill(const std::string& hole_id) override;
@@ -186,6 +194,7 @@ class FramedLxpWrapper : public buffer::LxpWrapper {
   /// as Status — what lets a BufferComponent on top retry or degrade
   /// instead of silently receiving empty results.
   Status TryGetRoot(const std::string& uri, std::string* out) override;
+  /// A one-hole kLxpFillMany with a one-fill budget.
   Status TryFill(const std::string& hole_id,
                  buffer::FragmentList* out) override;
   Status TryFillMany(const std::vector<std::string>& holes,
@@ -207,6 +216,7 @@ class FramedLxpWrapper : public buffer::LxpWrapper {
   const Status& last_status() const { return last_status_; }
 
  private:
+  std::unique_ptr<FrameTransport> owned_;
   FrameTransport* transport_;
   std::string uri_;
   Status last_status_;

@@ -476,9 +476,6 @@ class FailingWrapper : public buffer::LxpWrapper {
  public:
   std::string GetRoot(const std::string&) override { return "h:root"; }
   buffer::FragmentList Fill(const std::string&) override { return {}; }
-  Status TryFill(const std::string&, buffer::FragmentList*) override {
-    return Status::Unavailable("source down");
-  }
   Status TryFillMany(const std::vector<std::string>&,
                      const buffer::FillBudget&,
                      buffer::HoleFillList*) override {

@@ -275,8 +275,8 @@ TEST(ReadaheadTest, ByteIdenticalUnderFaultMatrix) {
   EXPECT_GT(total.readahead_fallbacks, 0);  // some flights definitely failed
 }
 
-/// Fails every exchange touching one specific hole id (Try and Begin paths
-/// both route through TryFillMany here).
+/// Fails every exchange touching one specific hole id (demand fills and
+/// readahead flights both route through TryFillMany here).
 class SelectiveFailWrapper : public LxpWrapper {
  public:
   SelectiveFailWrapper(LxpWrapper* inner, std::string bad_hole)
@@ -287,10 +287,6 @@ class SelectiveFailWrapper : public LxpWrapper {
   }
   FragmentList Fill(const std::string& hole_id) override {
     return inner_->Fill(hole_id);
-  }
-  Status TryFill(const std::string& hole_id, FragmentList* out) override {
-    if (hole_id == bad_) return Status::Unavailable("source refused " + bad_);
-    return inner_->TryFill(hole_id, out);
   }
   Status TryFillMany(const std::vector<std::string>& holes,
                      const FillBudget& budget, HoleFillList* out) override {
@@ -315,10 +311,6 @@ class RecordingWrapper : public LxpWrapper {
   }
   FragmentList Fill(const std::string& hole_id) override {
     return inner_->Fill(hole_id);
-  }
-  Status TryFill(const std::string& hole_id, FragmentList* out) override {
-    seen.push_back(hole_id);
-    return inner_->TryFill(hole_id, out);
   }
   Status TryFillMany(const std::vector<std::string>& holes,
                      const FillBudget& budget, HoleFillList* out) override {
@@ -408,9 +400,6 @@ class BadFlightWrapper : public LxpWrapper {
   }
   FragmentList Fill(const std::string& hole_id) override {
     return inner_->Fill(hole_id);
-  }
-  Status TryFill(const std::string& hole_id, FragmentList* out) override {
-    return inner_->TryFill(hole_id, out);
   }
   Status TryFillMany(const std::vector<std::string>& holes,
                      const FillBudget& budget, HoleFillList* out) override {
@@ -513,9 +502,11 @@ enum class Spoil { kNone, kFail, kAdjacentHoles, kForeignChasedEntry };
 /// A continuation chain as a relational scan serves it: the root hole r
 /// answers scan[hole c0], and fill c<i> answers kChainRows rows plus the
 /// continuation hole c<i+1> (the last fill has none). FillMany chases like
-/// the concrete wrappers (ChaseFills). Counts every exchange and records
-/// each readahead flight (a BeginFillMany with a fill budget) with its
-/// hole and budget; flight number `spoil_flight` is answered per `spoil`.
+/// the concrete wrappers (ChaseFills). Counts every exchange, records the
+/// hole of each single-hole demand fill (a one-hole BeginFillMany asking
+/// for one element) and each readahead flight (a BeginFillMany with a fill
+/// budget) with its hole and budget; flight number `spoil_flight` is
+/// answered per `spoil`.
 class ChainWrapper : public LxpWrapper {
  public:
   std::string GetRoot(const std::string& uri) override {
@@ -533,12 +524,6 @@ class ChainWrapper : public LxpWrapper {
     if (i + 1 < kChainFills) rows.push_back(Fragment::Hole(Chain(i + 1)));
     return rows;
   }
-  Status TryFill(const std::string& hole_id, FragmentList* out) override {
-    ++exchanges;
-    demand_fills.push_back(hole_id);
-    *out = Fill(hole_id);
-    return Status::OK();
-  }
   HoleFillList FillMany(const std::vector<std::string>& holes,
                         const FillBudget& budget) override {
     return ChaseFills(holes, budget);
@@ -547,7 +532,12 @@ class ChainWrapper : public LxpWrapper {
       const std::vector<std::string>& holes,
       const FillBudget& budget) override {
     ++exchanges;
-    if (budget.fills < 0) return LxpWrapper::BeginFillMany(holes, budget);
+    if (budget.fills < 0) {
+      if (holes.size() == 1 && budget.elements == 1) {
+        demand_fills.push_back(holes.front());
+      }
+      return LxpWrapper::BeginFillMany(holes, budget);
+    }
     const int flight = static_cast<int>(flights.size());
     flights.push_back({holes.front(), budget.fills});
     if (flight != spoil_flight || spoil == Spoil::kNone) {
@@ -764,10 +754,6 @@ class FlightLogWrapper : public LxpWrapper {
   }
   FragmentList Fill(const std::string& hole_id) override {
     return inner_->Fill(hole_id);
-  }
-  Status TryFill(const std::string& hole_id, FragmentList* out) override {
-    demand_holes.push_back(hole_id);
-    return inner_->TryFill(hole_id, out);
   }
   Status TryFillMany(const std::vector<std::string>& holes,
                      const FillBudget& budget, HoleFillList* out) override {
@@ -1231,40 +1217,6 @@ TEST(TcpAsyncTest, DestructionFailsPendingOpsExactlyOnce) {
   EXPECT_EQ(completions.load(), 8);
 }
 
-/// An LXP source behind its own TCP connection — the per-session wrapper a
-/// mediator builds for a source another mixd exports.
-class RemoteLxpWrapper : public LxpWrapper {
- public:
-  RemoteLxpWrapper(const TcpTransportOptions& options, const std::string& uri)
-      : transport_(options), stub_(&transport_, uri) {}
-
-  std::string GetRoot(const std::string& uri) override {
-    return stub_.GetRoot(uri);
-  }
-  FragmentList Fill(const std::string& hole_id) override {
-    return stub_.Fill(hole_id);
-  }
-  Status TryGetRoot(const std::string& uri, std::string* out) override {
-    return stub_.TryGetRoot(uri, out);
-  }
-  Status TryFill(const std::string& hole_id, FragmentList* out) override {
-    return stub_.TryFill(hole_id, out);
-  }
-  Status TryFillMany(const std::vector<std::string>& holes,
-                     const FillBudget& budget, HoleFillList* out) override {
-    return stub_.TryFillMany(holes, budget, out);
-  }
-  std::shared_ptr<FillFuture> BeginFillMany(
-      const std::vector<std::string>& holes,
-      const FillBudget& budget) override {
-    return stub_.BeginFillMany(holes, budget);
-  }
-
- private:
-  TcpFrameTransport transport_;
-  wire::FramedLxpWrapper stub_;
-};
-
 TEST(TcpAsyncTest, SessionCloseCancelsFlightsCleanly) {
   // A slow remote source keeps readahead flights in the air when the
   // session closes: the buffer abandons them, the transport completes or
@@ -1301,7 +1253,12 @@ TEST(TcpAsyncTest, SessionCloseCancelsFlightsCleanly) {
   wo.max_in_flight = 4;
   env.RegisterWrapperFactory(
       "homesSrc",
-      [copts] { return std::make_unique<RemoteLxpWrapper>(copts, "homes.xml"); },
+      [copts] {
+        // An LXP source behind its own TCP connection — the per-session
+        // wrapper a mediator builds for a source another mixd exports.
+        return std::make_unique<wire::FramedLxpWrapper>(
+            std::make_unique<TcpFrameTransport>(copts), "homes.xml");
+      },
       "homes.xml", wo);
   MediatorService service(&env, {});
 

@@ -433,23 +433,33 @@ TEST(FillManyTest, FillCountBudgetBoundsSpeculation) {
 /// A wrapper violating the FillMany contract (fewer entries than requested
 /// holes) — the buffer must reject the response as a typed error, degrade
 /// the unanswered hole, and never abort.
+/// Answers the root's demand fill (a one-hole exchange for "root") and
+/// nothing else: every other FillMany response is empty.
 class ShortFillWrapper : public buffer::LxpWrapper {
  public:
   std::string GetRoot(const std::string&) override { return "root"; }
   buffer::FragmentList Fill(const std::string&) override {
     return {buffer::Fragment::Element("r", {buffer::Fragment::Hole("x")})};
   }
-  buffer::HoleFillList FillMany(const std::vector<std::string>&,
-                                const buffer::FillBudget&) override {
+  buffer::HoleFillList FillMany(const std::vector<std::string>& holes,
+                                const buffer::FillBudget& budget) override {
+    if (holes == std::vector<std::string>{"root"}) {
+      return LxpWrapper::FillMany(holes, budget);
+    }
     return {};  // contract violation
   }
 };
 
 TEST(FillManyContractTest, BufferRejectsShortBatchResponse) {
   ShortFillWrapper wrapper;
-  buffer::BufferComponent buffer(&wrapper, "u");
-  // Root() rides the single-hole Fill path and succeeds; the batched child
-  // enumeration goes through FillMany and must trip the contract check.
+  // With a channel attached, so the empty response is charged too (once as
+  // one tiny message; it must not abort the accounting).
+  net::Channel channel(nullptr, net::ChannelOptions{});
+  buffer::BufferComponent::Options options;
+  options.channel = &channel;
+  buffer::BufferComponent buffer(&wrapper, "u", options);
+  // Root()'s demand fill is answered; the batched child enumeration must
+  // trip the contract check.
   NodeId r = buffer.Root();
   std::vector<NodeId> kids;
   buffer.DownAll(r, &kids);
@@ -459,6 +469,8 @@ TEST(FillManyContractTest, BufferRejectsShortBatchResponse) {
   EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
   EXPECT_NE(s.message().find("not answered"), std::string::npos);
   EXPECT_EQ(buffer.degraded_holes(), 1);
+  // get_root, the root fill and the rejected exchange: two messages each.
+  EXPECT_EQ(channel.stats().messages, 6);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,13 @@
 
 #include "buffer/buffer.h"
 #include "buffer/lxp.h"
+#include "net/sim_net.h"
+#include "rdb/database.h"
 #include "test_util.h"
+#include "wrappers/relational_wrapper.h"
+#include "wrappers/xml_lxp_wrapper.h"
 #include "xml/materialize.h"
+#include "xml/random_tree.h"
 
 namespace mix::buffer {
 namespace {
@@ -198,6 +203,93 @@ TEST(BufferFaultTest, AllHoleFillRejectedWithStatus) {
   EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
   EXPECT_NE(s.message().find("only of holes"), std::string::npos);
   EXPECT_EQ(buffer.degraded_holes(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Section 4's accounting, pinned: the E3 chunk sweep and the E4 inline-limit
+// sweep are deterministic (simulated channel, fixed data), so their exact
+// message and byte counts are regression values, not measurements.
+// ---------------------------------------------------------------------------
+
+/// E3's workload: the first `rows_read` rows of a 10k-row relational view,
+/// each tuple read whole, node at a time (bench_lxp_chunking's BrowseRows).
+net::ChannelStats BrowseRelationalRows(int chunk, int rows_read) {
+  rdb::Database db("realty");
+  rdb::Schema schema({{"addr", rdb::Type::kString},
+                      {"zip", rdb::Type::kInt},
+                      {"price", rdb::Type::kInt}});
+  rdb::Table* t = db.CreateTable("homes", schema).ValueOrDie();
+  for (int i = 0; i < 10000; ++i) {
+    t->Insert({rdb::Value("street " + std::to_string(i)),
+               rdb::Value(int64_t{91200 + i % 40}),
+               rdb::Value(int64_t{100000 + (i * 7919) % 900000})});
+  }
+  wrappers::RelationalLxpWrapper::Options wrapper_options;
+  wrapper_options.chunk = chunk;
+  wrappers::RelationalLxpWrapper wrapper(&db, wrapper_options);
+  net::Channel channel(nullptr, net::ChannelOptions{});
+  BufferComponent::Options options;
+  options.channel = &channel;
+  BufferComponent view(&wrapper, "sql:SELECT * FROM homes", options);
+  std::optional<NodeId> row = view.Down(view.Root());
+  for (int i = 1; i < rows_read && row.has_value(); ++i) {
+    for (auto att = view.Down(*row); att.has_value(); att = view.Right(*att)) {
+      (void)view.Fetch(*att);
+    }
+    row = view.Right(*row);
+  }
+  EXPECT_TRUE(view.TakeStatus().ok());
+  return channel.stats();
+}
+
+TEST(LxpAccountingTest, E3ChunkSweepMessagesAndBytes) {
+  struct Case {
+    int chunk;
+    int64_t messages;
+    int64_t bytes;
+  };
+  for (const Case& c : {Case{1, 202, 14541}, Case{10, 22, 10959},
+                        Case{100, 4, 10599}}) {
+    net::ChannelStats st = BrowseRelationalRows(c.chunk, 100);
+    EXPECT_EQ(st.messages, c.messages) << "chunk=" << c.chunk;
+    EXPECT_EQ(st.bytes, c.bytes) << "chunk=" << c.chunk;
+  }
+}
+
+TEST(LxpAccountingTest, E4InlineLimitSweepFillsAndBytes) {
+  xml::RandomTreeOptions tree;
+  tree.seed = 9;
+  tree.max_depth = 6;
+  tree.max_fanout = 6;
+  tree.element_percent = 70;
+  auto doc = xml::RandomTree(tree);
+  struct Case {
+    int64_t inline_limit;
+    int64_t fills;
+    int64_t messages;
+    int64_t bytes;
+  };
+  // Materialization is one FetchSubtree: child lists complete through
+  // fill_many exchanges, most of them answered with one entry and charged as
+  // plain fills.
+  for (const Case& c :
+       {Case{0, 278, 558, 23224}, Case{4, 180, 362, 18734},
+        Case{64, 19, 40, 11360}, Case{100000, 1, 4, 10550}}) {
+    wrappers::XmlLxpWrapper::Options wrapper_options;
+    wrapper_options.chunk = 8;
+    wrapper_options.inline_limit = c.inline_limit;
+    wrappers::XmlLxpWrapper wrapper(doc.get(), wrapper_options);
+    net::Channel channel(nullptr, net::ChannelOptions{});
+    BufferComponent::Options options;
+    options.channel = &channel;
+    BufferComponent buffer(&wrapper, "u", options);
+    auto copy = xml::Materialize(&buffer);
+    EXPECT_TRUE(buffer.TakeStatus().ok());
+    EXPECT_EQ(buffer.fill_count(), c.fills) << "limit=" << c.inline_limit;
+    EXPECT_EQ(channel.stats().messages, c.messages)
+        << "limit=" << c.inline_limit;
+    EXPECT_EQ(channel.stats().bytes, c.bytes) << "limit=" << c.inline_limit;
+  }
 }
 
 }  // namespace

@@ -214,8 +214,9 @@ TEST(FaultMatrixTest, FailFirstNThenSucceed) {
 // Graceful degradation: exhausted retries isolate, never propagate.
 // ---------------------------------------------------------------------------
 
-/// Fails every TryFill for one specific hole id; everything else passes
-/// through — a source with one permanently broken page.
+/// Fails every exchange that asks for one specific hole id; everything else
+/// passes through — a source with one permanently broken page. (A single
+/// hole's demand fill is a one-hole TryFillMany.)
 class SelectiveFailWrapper : public LxpWrapper {
  public:
   SelectiveFailWrapper(LxpWrapper* inner, std::string bad_hole)
@@ -227,9 +228,12 @@ class SelectiveFailWrapper : public LxpWrapper {
   FragmentList Fill(const std::string& hole_id) override {
     return inner_->Fill(hole_id);
   }
-  Status TryFill(const std::string& hole_id, FragmentList* out) override {
-    if (hole_id == bad_) return Status::Unavailable("source refused " + bad_);
-    return inner_->TryFill(hole_id, out);
+  Status TryFillMany(const std::vector<std::string>& holes,
+                     const FillBudget& budget, HoleFillList* out) override {
+    for (const std::string& h : holes) {
+      if (h == bad_) return Status::Unavailable("source refused " + bad_);
+    }
+    return inner_->TryFillMany(holes, budget, out);
   }
 
  private:
@@ -288,9 +292,6 @@ class RefusingWrapper : public LxpWrapper {
   std::string GetRoot(const std::string&) override { return "r"; }
   FragmentList Fill(const std::string&) override { return {}; }
   Status TryGetRoot(const std::string&, std::string*) override {
-    return Status::Unavailable("source down");
-  }
-  Status TryFill(const std::string&, FragmentList*) override {
     return Status::Unavailable("source down");
   }
   Status TryFillMany(const std::vector<std::string>&, const FillBudget&,
@@ -364,6 +365,8 @@ enum class BadBatchMode {
   kReusedId,         ///< fill re-introduces the id being refined
 };
 
+/// Answers the root's demand fill (a one-hole exchange for "r") honestly
+/// and every other exchange with the crafted response of `mode`.
 class BadBatchWrapper : public LxpWrapper {
  public:
   explicit BadBatchWrapper(BadBatchMode mode) : mode_(mode) {}
@@ -375,8 +378,11 @@ class BadBatchWrapper : public LxpWrapper {
     }
     return {Fragment::Element("x")};
   }
-  HoleFillList FillMany(const std::vector<std::string>&,
-                        const FillBudget&) override {
+  HoleFillList FillMany(const std::vector<std::string>& holes,
+                        const FillBudget& budget) override {
+    if (holes == std::vector<std::string>{"r"}) {
+      return LxpWrapper::FillMany(holes, budget);
+    }
     switch (mode_) {
       case BadBatchMode::kUnknownHole:
         return {{"zzz", {Fragment::Element("x")}}};
@@ -435,6 +441,22 @@ TEST(BadBatchTest, HandCraftedBatchResponsesAreRejectedWithStatus) {
     // A rejected batch never half-applies: nothing but the degraded node
     // joined the tree.
     EXPECT_EQ(buf.holes_outstanding(), 0);
+
+    // A single d chases h1 through the one-hole demand exchange: the same
+    // response is rejected the same way.
+    BadBatchWrapper single_wrapper(c.mode);
+    BufferComponent single(&single_wrapper, "u");
+    NodeId root = single.Root();
+    ASSERT_TRUE(root.valid());
+    std::optional<NodeId> child = single.Down(root);
+    ASSERT_TRUE(child.has_value());
+    EXPECT_EQ(single.Fetch(*child), "#unavailable");
+    s = single.TakeStatus();
+    EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(s.message().find(c.expect_substring), std::string::npos)
+        << "mode=" << static_cast<int>(c.mode) << ": " << s.ToString();
+    EXPECT_EQ(single.degraded_holes(), 1);
+    EXPECT_EQ(single.holes_outstanding(), 0);
   }
 }
 
@@ -457,10 +479,6 @@ class ToggleFailWrapper : public LxpWrapper {
   }
   FragmentList Fill(const std::string& hole_id) override {
     return inner_->Fill(hole_id);
-  }
-  Status TryFill(const std::string& hole_id, FragmentList* out) override {
-    if (failing_->load()) return Status::Unavailable("outage");
-    return inner_->TryFill(hole_id, out);
   }
   Status TryFillMany(const std::vector<std::string>& holes,
                      const FillBudget& budget, HoleFillList* out) override {

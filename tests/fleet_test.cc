@@ -8,12 +8,15 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "buffer/buffer.h"
 #include "client/framed_document.h"
 #include "fleet/hash_ring.h"
 #include "fleet/health.h"
@@ -509,6 +512,93 @@ TEST(FleetStackingTest, UpperInstanceQueriesLowerViewOverTcpByteIdentical) {
             "school[dir[Bar],zip[91220]],school[dir[Hart],zip[91223]]]");
 
   server_a.Stop();
+}
+
+/// An XML source whose readahead flights (fill-bounded exchanges) wait at a
+/// gate until the test opens it, or for at most two seconds; demand
+/// exchanges go straight through. Locked, so it may be exported for
+/// concurrent serving.
+class GatedFlightWrapper : public buffer::LxpWrapper {
+ public:
+  explicit GatedFlightWrapper(const xml::Document* doc) : inner_(doc) {}
+
+  std::string GetRoot(const std::string& uri) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return inner_.GetRoot(uri);
+  }
+  buffer::FragmentList Fill(const std::string& hole_id) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return inner_.Fill(hole_id);
+  }
+  buffer::HoleFillList FillMany(const std::vector<std::string>& holes,
+                                const buffer::FillBudget& budget) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (budget.fills >= 1) {
+      ++waiting_;
+      cv_.notify_all();
+      cv_.wait_for(lock, std::chrono::seconds(2), [this] { return open_; });
+      --waiting_;
+    }
+    return inner_.FillMany(holes, budget);
+  }
+
+  /// True once a flight waits at the gate (gives up after `timeout`).
+  bool FlightWaiting(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return waiting_ > 0; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  wrappers::XmlLxpWrapper inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int waiting_ = 0;
+  bool open_ = false;
+};
+
+// A source imported with RemoteSourceFactory puts its readahead flights
+// really in flight: the command that issues one returns while the flight
+// still waits upstream, and the answer equals the window-0 one.
+TEST(FleetStackingTest, ImportedSourceFlightsAreAsync) {
+  auto homes = testing::Doc(kHomes);
+  GatedFlightWrapper gated(homes.get());
+  SessionEnvironment env;
+  env.ExportWrapper("homes.xml", &gated, /*concurrent=*/true);
+  MediatorService::Options service_options;
+  service_options.workers = 2;
+  MediatorService service(&env, service_options);
+  net::tcp::TcpServer server(&service, {});
+  ASSERT_TRUE(server.Start().ok());
+  auto factory = RemoteSourceFactory("127.0.0.1", server.port(), "homes.xml");
+
+  std::unique_ptr<buffer::LxpWrapper> remote = factory();
+  buffer::BufferComponent::Options options;
+  options.max_in_flight = 4;
+  buffer::BufferComponent buffer(remote.get(), "homes.xml", options);
+  NodeId root = buffer.Root();
+  ASSERT_TRUE(root.valid());
+  EXPECT_EQ(buffer.Fetch(root), "homes");
+  EXPECT_TRUE(gated.FlightWaiting(std::chrono::milliseconds(1000)))
+      << "Root() returned only after its readahead flight had finished";
+  EXPECT_EQ(buffer.stats().readahead_issued, 1);
+  EXPECT_EQ(buffer.stats().readahead_hits, 0);
+
+  gated.Open();
+  const std::string answer = testing::MaterializeToTerm(&buffer);
+  EXPECT_TRUE(buffer.TakeStatus().ok());
+  EXPECT_GT(buffer.stats().readahead_hits, 0);
+  EXPECT_EQ(buffer.stats().readahead_fallbacks, 0);
+
+  std::unique_ptr<buffer::LxpWrapper> remote0 = factory();
+  buffer::BufferComponent window0(remote0.get(), "homes.xml");
+  EXPECT_EQ(answer, testing::MaterializeToTerm(&window0));
+  EXPECT_EQ(answer, kHomes);
+  server.Stop();
 }
 
 }  // namespace

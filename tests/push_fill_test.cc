@@ -61,10 +61,6 @@ class PushingWrapper : public LxpWrapper {
     ++demand_exchanges_;
     return inner_->Fill(hole_id);
   }
-  Status TryFill(const std::string& hole_id, FragmentList* out) override {
-    ++demand_exchanges_;
-    return inner_->TryFill(hole_id, out);
-  }
   Status TryFillMany(const std::vector<std::string>& holes,
                      const FillBudget& budget, HoleFillList* out) override {
     ++demand_exchanges_;
@@ -221,13 +217,12 @@ TEST(PushFillTest, PushTrafficChargedToDemandChannel) {
   walk(1, &pushed, &pushed_exchanges);
   EXPECT_EQ(demand_only_exchanges, 3);
   EXPECT_EQ(pushed_exchanges, 1);
-  // A consumed push is charged to the demand link as the one-hole batch
-  // exchange it replaced: the same messages, and the single-fill response
-  // bytes plus the batch framing of its one entry (8 bytes and the echoed
-  // hole id) for each of h1 and h2.
+  // A consumed push is charged to the demand link as the one-hole exchange
+  // it replaced — the same messages and the same bytes: a one-entry
+  // response is a plain fill either way.
   EXPECT_GT(pushed.messages, 0);
   EXPECT_EQ(pushed.messages, demand_only.messages);
-  EXPECT_EQ(pushed.bytes, demand_only.bytes + 2 * (8 + 2));
+  EXPECT_EQ(pushed.bytes, demand_only.bytes);
 }
 
 TEST(PushFillTest, PushedFillsMayContainHoles) {

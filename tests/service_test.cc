@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "buffer/buffer.h"
+#include "buffer/fault_wrapper.h"
 #include "client/client.h"
 #include "client/framed_document.h"
 #include "mediator/instantiate.h"
@@ -231,9 +232,10 @@ TEST(ServiceTest, MalformedFramesLeaveSessionUsable) {
 
   // A parade of garbage: truncated, corrupt magic, bogus type. Every one
   // comes back as a kError frame (or transport error), never a crash.
+  const char version = wire::EncodeFrame(Frame())[6];
   for (const std::string& junk :
        {std::string(), std::string("\x01\x02\x03"), std::string(40, '\xff'),
-        std::string("\x00\x00\x00\x00MX\x01\x20", 8)}) {
+        std::string("\x00\x00\x00\x00MX", 6) + version + '\x20'}) {
     Result<std::string> resp = service.RoundTrip(junk);
     ASSERT_TRUE(resp.ok());
     Result<Frame> decoded = wire::DecodeFrame(resp.value());
@@ -492,10 +494,82 @@ TEST(ServiceTest, RemoteLxpServing) {
   EXPECT_TRUE(remote.last_status().ok());
   EXPECT_GT(wrapper.fills_served(), 0);
 
+  // The stub's single-hole fill is a one-hole fill_many over the wire and
+  // answers exactly what the wrapper's own fill does.
+  const std::string root = remote.GetRoot("homes.xml");
+  buffer::FragmentList over_wire;
+  ASSERT_TRUE(remote.TryFill(root, &over_wire).ok());
+  wrappers::XmlLxpWrapper local(homes.get());
+  const std::string local_root = local.GetRoot("homes.xml");
+  ASSERT_EQ(local_root, root);
+  EXPECT_EQ(buffer::FragmentListByteSize(over_wire),
+            buffer::FragmentListByteSize(local.Fill(local_root)));
+
   // Unknown URI: empty results, status latched, no crash.
   wire::FramedLxpWrapper bogus(&service, "nope.xml");
   EXPECT_EQ(bogus.GetRoot("nope.xml"), "");
   EXPECT_EQ(bogus.last_status().code(), Status::Code::kNotFound);
+}
+
+/// Forwards the first `healthy_calls` round trips to `inner`, then refuses
+/// every one: an upstream that fails after the handshake.
+class FailingAfterTransport : public wire::FrameTransport {
+ public:
+  FailingAfterTransport(wire::FrameTransport* inner, int healthy_calls)
+      : inner_(inner), healthy_left_(healthy_calls) {}
+  Result<std::string> RoundTrip(const std::string& request) override {
+    if (healthy_left_-- > 0) return inner_->RoundTrip(request);
+    return Status::Unavailable("upstream down");
+  }
+
+ private:
+  wire::FrameTransport* inner_;
+  int healthy_left_;
+};
+
+// A relay — mixd B exporting a framed stub into mixd C — serves through the
+// stub's fallible face: when C fails after get_root and the root fill, A's
+// buffer receives error frames and degrades with a typed kUnavailable. It
+// never receives the empty refinements the infallible face fabricates,
+// which A would splice as "no children" — a silently shorter answer.
+TEST(ServiceTest, RelayedUpstreamFailureIsAnErrorNotAShorterAnswer) {
+  auto homes = testing::Doc(kHomes);
+  wrappers::XmlLxpWrapper wrapper(homes.get());
+  SessionEnvironment env_c;
+  env_c.ExportWrapper("homes.xml", &wrapper);
+  MediatorService service_c(&env_c, {});
+
+  FailingAfterTransport to_c(&service_c, /*healthy_calls=*/2);
+  wire::FramedLxpWrapper relay(&to_c, "homes.xml");
+  SessionEnvironment env_b;
+  env_b.ExportWrapper("homes.xml", &relay);
+  MediatorService service_b(&env_b, {});
+
+  wire::FramedLxpWrapper remote(&service_b, "homes.xml");
+  buffer::BufferComponent buffer(&remote, "homes.xml");
+  const std::string answer = testing::MaterializeToTerm(&buffer);
+  EXPECT_NE(answer.find("#unavailable"), std::string::npos) << answer;
+  EXPECT_EQ(buffer.TakeStatus().code(), Status::Code::kUnavailable);
+  EXPECT_GT(buffer.degraded_holes(), 0);
+}
+
+// An exported fault decorator injects on the serving path too: the service
+// calls the faces the decorator overrides.
+TEST(ServiceTest, ExportedFaultDecoratorInjects) {
+  auto homes = testing::Doc(kHomes);
+  wrappers::XmlLxpWrapper wrapper(homes.get());
+  net::FaultSpec spec;
+  spec.p_fail = 1.0;
+  buffer::FaultyLxpWrapper faulty(&wrapper, spec, /*seed=*/7);
+  SessionEnvironment env;
+  env.ExportWrapper("homes.xml", &faulty);
+  MediatorService service(&env, {});
+
+  wire::FramedLxpWrapper remote(&service, "homes.xml");
+  buffer::BufferComponent buffer(&remote, "homes.xml");
+  EXPECT_EQ(testing::MaterializeToTerm(&buffer), "#unavailable");
+  EXPECT_EQ(buffer.TakeStatus().code(), Status::Code::kUnavailable);
+  EXPECT_EQ(wrapper.fills_served(), 0);
 }
 
 TEST(ServiceTest, ConcurrentSessionsSmoke) {

@@ -252,9 +252,6 @@ class FillsAlwaysFailWrapper : public LxpWrapper {
  public:
   std::string GetRoot(const std::string&) override { return "h:root"; }
   FragmentList Fill(const std::string&) override { return {}; }
-  Status TryFill(const std::string&, FragmentList*) override {
-    return Status::Unavailable("source down");
-  }
   Status TryFillMany(const std::vector<std::string>&, const FillBudget&,
                      HoleFillList*) override {
     return Status::Unavailable("source down");

@@ -388,7 +388,8 @@ TEST(TcpTransportTest, GarbledHeaderClosesOnlyThatConnection) {
 
   // Valid magic but an impossible length: same fate.
   RawClient oversized = RawClient::Connect(server.port());
-  std::string huge = {'\xff', '\xff', '\xff', '\x7f', 'M', 'X', 1, 6};
+  const char version = service::wire::EncodeFrame(Frame())[6];
+  std::string huge = {'\xff', '\xff', '\xff', '\x7f', 'M', 'X', version, 6};
   oversized.Send(huge);
   EXPECT_TRUE(oversized.WaitClosed(std::chrono::milliseconds(5000)));
 
@@ -410,7 +411,8 @@ TEST(TcpTransportTest, GarbledPayloadGetsTypedErrorFrameAndConnectionLives) {
   // the frame decodes *as a frame*, fails *as a message*, and the server's
   // typed kError response comes back on a connection that stays up — the
   // exact same rejection the in-process transport produces.
-  std::string frame = {20, 0, 0, 0, 'M', 'X', 1, 6};
+  const char version = service::wire::EncodeFrame(Frame())[6];
+  std::string frame = {20, 0, 0, 0, 'M', 'X', version, 6};
   frame += std::string(20, '\xee');
   c.Send(frame);
   Result<std::string> response = c.ReadFrame();

@@ -98,18 +98,15 @@ TEST(WireCodecTest, FragmentsAndHoleFillsRoundTrip) {
   Fragment tree = Fragment::Element(
       "home", {Fragment::Element("zip", {Fragment::Text("91220")}),
                Fragment::Hole("x:3:0")});
-  f.fragments = {tree, Fragment::Hole("x:9:2")};
-  f.hole_fills.push_back({"h0", {tree}});
+  f.hole_fills.push_back({"h0", {tree, Fragment::Hole("x:9:2")}});
   f.hole_fills.push_back({"h1", {}});
   Frame g = RoundTrip(f);
-  ASSERT_EQ(g.fragments.size(), 2u);
-  EXPECT_EQ(g.fragments[0].ToTerm(), tree.ToTerm());
-  EXPECT_TRUE(g.fragments[1].is_hole);
-  EXPECT_EQ(g.fragments[1].hole_id, "x:9:2");
   ASSERT_EQ(g.hole_fills.size(), 2u);
   EXPECT_EQ(g.hole_fills[0].hole_id, "h0");
-  ASSERT_EQ(g.hole_fills[0].fragments.size(), 1u);
+  ASSERT_EQ(g.hole_fills[0].fragments.size(), 2u);
   EXPECT_EQ(g.hole_fills[0].fragments[0].ToTerm(), tree.ToTerm());
+  EXPECT_TRUE(g.hole_fills[0].fragments[1].is_hole);
+  EXPECT_EQ(g.hole_fills[0].fragments[1].hole_id, "x:9:2");
   EXPECT_TRUE(g.hole_fills[1].fragments.empty());
 }
 
@@ -252,10 +249,31 @@ TEST(WireDecodeTest, DepthBombFragment) {
     deep = Fragment::Element("x", {deep});
   }
   Frame f;
-  f.type = MsgType::kLxpFillResp;
-  f.fragments = {deep};
+  f.type = MsgType::kLxpFills;
+  f.hole_fills.push_back({"h0", {deep}});
   Result<Frame> r = DecodeFrame(EncodeFrame(f));
   EXPECT_FALSE(r.ok());
+}
+
+// The single-hole fill pair of wire version 1 (kLxpFill = 13, kLxpFillResp
+// = 72) is retired — a one-hole kLxpFillMany is the same exchange — so
+// those tags decode, and peek, as typed errors like any unknown tag.
+TEST(WireDecodeTest, RetiredSingleFillTypesAreRejected) {
+  std::string bytes = EncodeFrame(Frame::Error(Status::OK()));
+  for (uint8_t t : {uint8_t{13}, uint8_t{72}}) {
+    std::string bad = bytes;
+    bad[7] = static_cast<char>(t);
+    Result<Frame> r = DecodeFrame(bad);
+    ASSERT_FALSE(r.ok()) << "type " << int(t);
+    EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("unknown frame type " +
+                                        std::to_string(t)),
+              std::string::npos);
+    size_t size = 0;
+    Status peek_error;
+    EXPECT_EQ(PeekFrame(bad, &size, &peek_error), FramePeek::kCorrupt);
+    EXPECT_EQ(peek_error.code(), Status::Code::kInvalidArgument);
+  }
 }
 
 TEST(WireDecodeTest, GarbageBytes) {
