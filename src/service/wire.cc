@@ -478,6 +478,7 @@ Status FramedLxpWrapper::TryFill(const std::string& hole_id,
 
 std::shared_ptr<buffer::FillFuture> FramedLxpWrapper::BeginFillMany(
     const std::vector<std::string>& holes, const buffer::FillBudget& budget) {
+  if (budget.fills < 0) return LxpWrapper::BeginFillMany(holes, budget);
   auto future = std::make_shared<buffer::FillFuture>();
   // The completion owns only the future: decoding is static, so the stub
   // (and its session) may die mid-flight without a dangling capture.

@@ -201,11 +201,15 @@ class FramedLxpWrapper : public buffer::LxpWrapper {
                      const buffer::FillBudget& budget,
                      buffer::HoleFillList* out) override;
 
-  /// Genuinely async fill: encodes the exchange up front and submits it via
+  /// Genuinely async fill for a readahead flight (a budget bounded by fill
+  /// count): encodes the exchange up front and submits it via
   /// RoundTripAsync. The completion captures only the returned future (no
   /// `this`), so the stub — and the session owning it — may be destroyed
   /// while the exchange is in flight; the transport still completes the
-  /// future and the last reference drops it.
+  /// future and the last reference drops it. A demand exchange (fills
+  /// unbounded), which the buffer waits on at once, runs inline as
+  /// TryFillMany: a hop through the transport's dispatch thread would only
+  /// add a wake-up to a call that blocks anyway.
   std::shared_ptr<buffer::FillFuture> BeginFillMany(
       const std::vector<std::string>& holes,
       const buffer::FillBudget& budget) override;
