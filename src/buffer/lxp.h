@@ -170,8 +170,8 @@ class LxpWrapper {
   /// every existing wrapper (scripted, XML, CSV, relational, the
   /// fault-injecting decorator) participates in the async engine unchanged
   /// and byte-identically. Only wrappers backed by a real async transport
-  /// (FramedLxpWrapper over TcpFrameTransport) override this to put the
-  /// exchange genuinely in flight.
+  /// (FramedLxpWrapper over TcpFrameTransport) override this to put a
+  /// readahead flight genuinely in flight.
   ///
   /// Thread-safety contract: unless a wrapper documents otherwise, callers
   /// must not invoke Begin*/Try*/Fill concurrently on one wrapper — the

@@ -115,12 +115,12 @@ class SessionEnvironment {
   /// Exports `wrapper` for remote LXP serving (wire kLxpGetRoot/kLxpFillMany
   /// frames address it by `uri`; the service calls its TryGetRoot/
   /// TryFillMany faces and answers a failure with an error frame). By
-  /// default the service
-  /// serializes access per exported wrapper, so `wrapper` itself needs no
-  /// locking. `concurrent = true` opts out of that serialization: pipelined
-  /// exchanges for the same uri then run on multiple workers at once (a
-  /// client's async readahead window becomes real server-side overlap) —
-  /// the wrapper must be internally thread-safe.
+  /// default the service serializes access per exported wrapper, so
+  /// `wrapper` itself needs no locking. `concurrent = true` opts out of
+  /// that serialization: pipelined exchanges for the same uri then run on
+  /// multiple workers at once (a client's async readahead window becomes
+  /// real server-side overlap) — the wrapper must be internally
+  /// thread-safe.
   void ExportWrapper(std::string uri, buffer::LxpWrapper* wrapper,
                      bool concurrent = false);
   bool exported_concurrent(const std::string& uri) const {
