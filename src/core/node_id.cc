@@ -55,6 +55,14 @@ bool ComponentEquals(const NodeIdComponent& a, const NodeIdComponent& b) {
 // than it was allocated on simply joins that thread's list (all pooled
 // blocks are the same size). The list drains to operator delete at thread
 // exit.
+//
+// The list is short (kMaxFree). A session's ids are released by whichever
+// worker runs its last command, so some threads free far more blocks than
+// they mint: their lists sit full, and blocks parked there are memory no
+// other thread can reuse. At 4096 blocks (~0.9 MB) a list, the peak memory
+// of a server under one fixed load varied by up to 2.5 MB from run to run,
+// with which thread happened to free what; 256 blocks (~55 KB) bound that
+// while a thread's own mint/release churn still recycles.
 // ---------------------------------------------------------------------------
 
 class RepPool {
@@ -96,7 +104,7 @@ class RepPool {
   struct FreeNode {
     FreeNode* next;
   };
-  static constexpr size_t kMaxFree = 4096;
+  static constexpr size_t kMaxFree = 256;
 
   struct Local {
     FreeNode* free = nullptr;
