@@ -61,7 +61,7 @@ bool ComponentEquals(const NodeIdComponent& a, const NodeIdComponent& b) {
 // they mint: their lists sit full, and blocks parked there are memory no
 // other thread can reuse. At 4096 blocks (~0.9 MB) a list, the peak memory
 // of a server under one fixed load varied by up to 2.5 MB from run to run,
-// with which thread happened to free what; 256 blocks (~55 KB) bound that
+// with which thread happened to free what; 256 blocks (~56 KB) bound that
 // while a thread's own mint/release churn still recycles.
 // ---------------------------------------------------------------------------
 
