@@ -43,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_stats.h"
 #include "buffer/buffer.h"
 #include "buffer/lxp.h"
 #include "mediator/instantiate.h"
@@ -116,10 +117,6 @@ class SleepyXmlWrapper : public buffer::LxpWrapper {
   wrappers::XmlLxpWrapper inner_;
 };
 
-double MinOf(const std::vector<double>& v) {
-  return *std::min_element(v.begin(), v.end());
-}
-
 /// Holes a readahead flight asked for, on average (0 without flights).
 double HolesPerFlight(const buffer::BufferComponent::Stats& stats) {
   return stats.readahead_issued == 0
@@ -165,9 +162,7 @@ BENCHMARK(BM_ReadaheadPagingWalk)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
-    ->Repetitions(5)
-    ->ReportAggregatesOnly()
-    ->ComputeStatistics("min", MinOf);
+    ->Apply(bench::FiveRepetitions);
 
 /// One query over remote homes (and, for the join, schools) sources, with
 /// its in-process reference answer.
@@ -304,8 +299,6 @@ BENCHMARK(BM_AsyncFillOverTcp)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime()
-    ->Repetitions(5)
-    ->ReportAggregatesOnly()
-    ->ComputeStatistics("min", MinOf);
+    ->Apply(bench::FiveRepetitions);
 
 }  // namespace

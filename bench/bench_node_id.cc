@@ -6,12 +6,16 @@
 // ns/op here multiplies through the whole plan. These benchmarks use only
 // the stable public API (string-tag construction, ValueSpace, DocNavigable)
 // so the same binary shape runs against any revision — the JSON emitted by
-// scripts/run_bench.sh is the perf trajectory across PRs.
+// scripts/run_bench.sh is the perf trajectory across PRs (with
+// NODE_ID_PARENT set, it also carries rows of this source built against a
+// parent checkout's library). Each benchmark runs 5 repetitions and reports
+// only the aggregates (bench_stats.h).
 #include <benchmark/benchmark.h>
 
 #include <unordered_map>
 
 #include "algebra/value_space.h"
+#include "bench_stats.h"
 #include "xml/doc_navigable.h"
 #include "xml/random_tree.h"
 
@@ -32,7 +36,7 @@ void BM_MintBindingIdCycling(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MintBindingIdCycling);
+BENCHMARK(BM_MintBindingIdCycling)->Apply(bench::FiveRepetitions);
 
 // Minting always-fresh binding ids — the forward-iteration pattern
 // (every NextBinding hands out a new handle).
@@ -46,7 +50,7 @@ void BM_MintBindingIdFresh(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MintBindingIdFresh);
+BENCHMARK(BM_MintBindingIdFresh)->Apply(bench::FiveRepetitions);
 
 // Nested mint: jn_b(inst, lb, ri) embedding an input binding id — the join
 // shape, one level of structural nesting.
@@ -61,7 +65,7 @@ void BM_MintNestedId(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MintNestedId);
+BENCHMARK(BM_MintNestedId)->Apply(bench::FiveRepetitions);
 
 // Structural equality between ids built independently (not shared reps) —
 // the comparison done by every unordered container probe.
@@ -76,7 +80,7 @@ void BM_StructuralEquality(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_StructuralEquality);
+BENCHMARK(BM_StructuralEquality)->Apply(bench::FiveRepetitions);
 
 // unordered_map keyed by NodeId — groupBy's seq_index_, ValueSpace's
 // handle table, client-side pointer maps.
@@ -98,7 +102,7 @@ void BM_UnorderedMapLookup(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_UnorderedMapLookup);
+BENCHMARK(BM_UnorderedMapLookup)->Apply(bench::FiveRepetitions);
 
 // The pass-through path: wrap a source ref into fw(owner, handle, inner),
 // navigate down, rewrap the result — one operator level of Fig. 9's
@@ -129,7 +133,7 @@ void BM_ValueSpacePassThrough(benchmark::State& state) {
   }
   state.SetItemsProcessed(ops);
 }
-BENCHMARK(BM_ValueSpacePassThrough);
+BENCHMARK(BM_ValueSpacePassThrough)->Apply(bench::FiveRepetitions);
 
 // Deep nesting: mint a chain id(id(id(...))) — stacked-mediator ids grow
 // structurally with plan depth; hashing/equality must stay cheap.
@@ -144,7 +148,10 @@ void BM_MintDeeplyNested(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * (depth + 1));
 }
-BENCHMARK(BM_MintDeeplyNested)->Arg(4)->Arg(16);
+BENCHMARK(BM_MintDeeplyNested)
+    ->Arg(4)
+    ->Arg(16)
+    ->Apply(bench::FiveRepetitions);
 
 // Hash of an already-built id (precomputed — should be a load).
 void BM_HashPrecomputed(benchmark::State& state) {
@@ -156,6 +163,6 @@ void BM_HashPrecomputed(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_HashPrecomputed);
+BENCHMARK(BM_HashPrecomputed)->Apply(bench::FiveRepetitions);
 
 }  // namespace

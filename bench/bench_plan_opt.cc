@@ -1,20 +1,27 @@
 // Experiment E15 (EXPERIMENTS.md): the plan optimizer's effect on
-// wrapper traffic, at byte-identical answers, across optimizer levels.
+// wrapper traffic, at byte-identical answers. The axis is whether the
+// sources declare their pushdown capability (pushdown=1) or register
+// without one (pushdown=0); the optimizer runs in both, and only a
+// declared capability licenses wrapper pushdown.
 //
 //   * BM_RelationalScanPushdown — a zip-equality scan over a 512-row
-//     relational source, optimizer off (level=0) vs on (level=1). With the
-//     predicate compiled into the wrapper's mini-SQL view only matching
-//     rows cross the LXP boundary. Acceptance: `wrapper_exchanges` drops
-//     >= 25% level 0 -> 1 and `mismatches` = 0.
+//     relational source. With the predicate compiled into the wrapper's
+//     mini-SQL view only matching rows cross the LXP boundary.
+//     Acceptance: `wrapper_exchanges` drops >= 25% pushdown 0 -> 1 and
+//     `mismatches` = 0.
 //   * BM_RelationalJoinPushdown — the Fig. 3 join shape over two
 //     relational sources (homes x schools on zip) with a constant zip
 //     filter on each leg; both legs push their predicate. Same acceptance.
-//   * BM_XmlFig3Levels — the original XML Fig. 3 workload. The optimizer
-//     has no pushdown target here and the exchange pattern is unchanged:
-//     expect `wrapper_exchanges` parity (the honest non-win; see
+//   * BM_XmlFig3Pushdown — the original XML Fig. 3 workload. The XML
+//     wrapper declares no pushdown capability, so both arms run the same
+//     plan: expect `wrapper_exchanges` parity (the honest non-win; see
 //     DESIGN.md §6).
-//   * BM_OptimizeCost — CompileXmas + OptimizePlan latency, the one-time
-//     per-plan-cache-miss cost the savings above are bought with.
+//   * BM_OptimizeCost — CompileXmas alone vs CompileXmas + OptimizePlan,
+//     the one-time per-plan-cache-miss cost the savings above are bought
+//     with.
+//
+// Each benchmark runs 5 repetitions and reports only the aggregates
+// (bench_stats.h).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -23,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_stats.h"
 #include "buffer/lxp.h"
 #include "client/framed_document.h"
 #include "mediator/passes/pass.h"
@@ -110,10 +118,13 @@ rdb::Database MakeSchoolsDb(int rows) {
   return db;
 }
 
+/// `declare` registers the wrapper's pushdown capability with the source;
+/// without it the optimizer has no license to push predicates into SQL.
 void RegisterDb(SessionEnvironment* env, const std::string& name,
-                const rdb::Database* db, std::atomic<int64_t>* exchanges) {
+                const rdb::Database* db, std::atomic<int64_t>* exchanges,
+                bool declare) {
   SessionEnvironment::WrapperOptions wo;
-  wo.capability = wrappers::RelationalLxpWrapper(db).Capability();
+  if (declare) wo.capability = wrappers::RelationalLxpWrapper(db).Capability();
   env->RegisterWrapperFactory(
       name,
       [db, exchanges]() -> std::unique_ptr<buffer::LxpWrapper> {
@@ -135,14 +146,12 @@ struct RunTally {
   int64_t answer_bytes = 0;
 };
 
-/// One session at the given optimizer level: open, materialize through the
-/// framed client, compare to `reference` (empty = establish it).
+/// One session: open, materialize through the framed client, compare to
+/// `reference` (empty = establish it).
 RunTally RunOnce(SessionEnvironment* env, std::atomic<int64_t>* exchanges,
-                 const std::string& query, int level,
-                 std::string* reference) {
+                 const std::string& query, std::string* reference) {
   MediatorService::Options options;
   options.workers = 2;
-  options.optimizer_level = level;
   MediatorService service(env, options);
 
   RunTally tally;
@@ -167,7 +176,7 @@ RunTally RunOnce(SessionEnvironment* env, std::atomic<int64_t>* exchanges,
 
 void Report(benchmark::State& state, const RunTally& total) {
   state.SetItemsProcessed(total.sessions);
-  state.counters["level"] = static_cast<double>(state.range(0));
+  state.counters["pushdown"] = static_cast<double>(state.range(0));
   state.counters["mismatches"] = static_cast<double>(total.mismatches);
   state.counters["wrapper_exchanges"] = static_cast<double>(
       total.sessions > 0 ? total.exchanges / total.sessions : 0);
@@ -176,20 +185,19 @@ void Report(benchmark::State& state, const RunTally& total) {
 }
 
 /// E15 workload 1: predicate scan over one relational leg. `reference` is
-/// shared across both levels, so a pushdown that changed a single answer
-/// byte shows up as a mismatch.
+/// shared across both arms (pushdown=0 runs first and establishes it), so
+/// a pushdown that changed a single answer byte shows up as a mismatch.
 void BM_RelationalScanPushdown(benchmark::State& state) {
   static const rdb::Database* db = new rdb::Database(MakeHomesDb(512));
   static std::string* reference = new std::string;
 
   std::atomic<int64_t> exchanges{0};
   SessionEnvironment env;
-  RegisterDb(&env, "realty", db, &exchanges);
+  RegisterDb(&env, "realty", db, &exchanges, state.range(0) != 0);
 
   RunTally total;
   for (auto _ : state) {
-    RunTally run = RunOnce(&env, &exchanges, kScanQuery,
-                           static_cast<int>(state.range(0)), reference);
+    RunTally run = RunOnce(&env, &exchanges, kScanQuery, reference);
     total.sessions += run.sessions;
     total.mismatches += run.mismatches;
     total.exchanges += run.exchanges;
@@ -198,10 +206,11 @@ void BM_RelationalScanPushdown(benchmark::State& state) {
   Report(state, total);
 }
 BENCHMARK(BM_RelationalScanPushdown)
-    ->ArgName("level")
+    ->ArgName("pushdown")
     ->Arg(0)
     ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(bench::FiveRepetitions);
 
 /// E15 workload 2: the Fig. 3 join shape over two relational legs, a
 /// constant zip filter pushed into each.
@@ -212,13 +221,12 @@ void BM_RelationalJoinPushdown(benchmark::State& state) {
 
   std::atomic<int64_t> exchanges{0};
   SessionEnvironment env;
-  RegisterDb(&env, "realty", homes, &exchanges);
-  RegisterDb(&env, "edu", schools, &exchanges);
+  RegisterDb(&env, "realty", homes, &exchanges, state.range(0) != 0);
+  RegisterDb(&env, "edu", schools, &exchanges, state.range(0) != 0);
 
   RunTally total;
   for (auto _ : state) {
-    RunTally run = RunOnce(&env, &exchanges, kJoinQuery,
-                           static_cast<int>(state.range(0)), reference);
+    RunTally run = RunOnce(&env, &exchanges, kJoinQuery, reference);
     total.sessions += run.sessions;
     total.mismatches += run.mismatches;
     total.exchanges += run.exchanges;
@@ -227,39 +235,44 @@ void BM_RelationalJoinPushdown(benchmark::State& state) {
   Report(state, total);
 }
 BENCHMARK(BM_RelationalJoinPushdown)
-    ->ArgName("level")
+    ->ArgName("pushdown")
     ->Arg(0)
     ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(bench::FiveRepetitions);
 
-/// The original XML Fig. 3 workload: no pushdown target, so levels 0 and 1
-/// must show exchange parity — reported rather than hidden.
-void BM_XmlFig3Levels(benchmark::State& state) {
+/// The original XML Fig. 3 workload: the XML wrapper's declared capability
+/// is empty, so both arms must show exchange parity — reported rather than
+/// hidden.
+void BM_XmlFig3Pushdown(benchmark::State& state) {
   static const xml::Document* homes = xml::MakeHomesDoc(48, 10).release();
   static const xml::Document* schools = xml::MakeSchoolsDoc(48, 10).release();
   static std::string* reference = new std::string;
 
   std::atomic<int64_t> exchanges{0};
   SessionEnvironment env;
+  SessionEnvironment::WrapperOptions wo;
+  if (state.range(0) != 0) {
+    wo.capability = wrappers::XmlLxpWrapper(homes).Capability();
+  }
   env.RegisterWrapperFactory(
       "homesSrc",
       [&exchanges]() -> std::unique_ptr<buffer::LxpWrapper> {
         return std::make_unique<CountedWrapper>(
             std::make_unique<wrappers::XmlLxpWrapper>(homes), &exchanges);
       },
-      "homes.xml");
+      "homes.xml", wo);
   env.RegisterWrapperFactory(
       "schoolsSrc",
       [&exchanges]() -> std::unique_ptr<buffer::LxpWrapper> {
         return std::make_unique<CountedWrapper>(
             std::make_unique<wrappers::XmlLxpWrapper>(schools), &exchanges);
       },
-      "schools.xml");
+      "schools.xml", wo);
 
   RunTally total;
   for (auto _ : state) {
-    RunTally run = RunOnce(&env, &exchanges, kFig3,
-                           static_cast<int>(state.range(0)), reference);
+    RunTally run = RunOnce(&env, &exchanges, kFig3, reference);
     total.sessions += run.sessions;
     total.mismatches += run.mismatches;
     total.exchanges += run.exchanges;
@@ -267,14 +280,16 @@ void BM_XmlFig3Levels(benchmark::State& state) {
   }
   Report(state, total);
 }
-BENCHMARK(BM_XmlFig3Levels)
-    ->ArgName("level")
+BENCHMARK(BM_XmlFig3Pushdown)
+    ->ArgName("pushdown")
     ->Arg(0)
     ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(bench::FiveRepetitions);
 
-/// What a plan-cache miss pays: compile alone (level 0 effectively) vs
-/// compile + full pass pipeline over the join workload.
+/// What a plan-cache miss pays: CompileXmas alone (optimize=0) vs
+/// CompileXmas + OptimizePlan, the full pass pipeline, over the join
+/// workload.
 void BM_OptimizeCost(benchmark::State& state) {
   const bool optimize = state.range(0) != 0;
   mediator::passes::OptimizerOptions options;
@@ -322,6 +337,7 @@ BENCHMARK(BM_OptimizeCost)
     ->ArgName("optimize")
     ->Arg(0)
     ->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
+    ->Unit(benchmark::kMicrosecond)
+    ->Apply(bench::FiveRepetitions);
 
 }  // namespace

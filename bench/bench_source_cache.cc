@@ -262,7 +262,7 @@ BENCHMARK(BM_CacheBudgetPressure)
 /// per-exchange overhead a cache-enabled buffer adds to a hit path.
 void BM_CacheOps(benchmark::State& state) {
   buffer::SourceCache cache(
-      buffer::SourceCache::Options{int64_t{8} << 20, 8});
+      buffer::SourceCache::Options{int64_t{8} << 20});
   buffer::FragmentList fragments;
   for (int i = 0; i < 10; ++i) {
     fragments.push_back(buffer::Fragment::Element("row"));

@@ -16,11 +16,20 @@
 # rows of BM_SharedCacheSessions: wrapper_exchanges (>= 50% reduction warm),
 # items_per_second (>= 2x), mismatches (= 0), and BM_CacheBudgetPressure's
 # evictions (> 0) / over_budget (= 0). For BENCH_plan_opt.json (E15) compare
-# the level:0 vs level:1 rows of BM_RelationalScanPushdown and
-# BM_RelationalJoinPushdown: wrapper_exchanges (>= 25% reduction with the
-# optimizer on), mismatches (= 0); BM_XmlFig3Levels must show exchange
-# parity (the XML workload has no pushdown target) and BM_OptimizeCost is
-# the per-compile price of the pass pipeline.
+# the pushdown:0 vs pushdown:1 rows of BM_RelationalScanPushdown and
+# BM_RelationalJoinPushdown (the sources registered without vs with their
+# declared pushdown capability; the optimizer runs in both):
+# wrapper_exchanges (>= 25% reduction with the capability declared),
+# mismatches (= 0); BM_XmlFig3Pushdown must show exchange parity (the XML
+# wrapper declares no pushdown capability) and BM_OptimizeCost's
+# optimize:0 vs optimize:1 rows price the pass pipeline per compile.
+#
+# BENCH_node_id.json, BENCH_plan_opt.json and BENCH_async_fill.json record 5
+# repetitions per benchmark, aggregates only (mean/median/stddev/min; see
+# bench/bench_stats.h). NODE_ID_PARENT=<bench_node_id binary built from a
+# parent checkout> adds that binary's rows to BENCH_node_id.json, run right
+# after the current tree's and marked "rev": "parent" (the current tree's
+# rows are "rev": "change").
 #
 # For BENCH_answer_views.json (E16) compare the views_kb:0 vs views_kb:1024
 # rows of BM_AnswerViewSessions: warm wrapper_exchanges (= 0 with views on),
@@ -53,9 +62,7 @@
 # BM_ReadaheadPagingWalk's demand_fills / readahead_hits / pages_fetched
 # across window:0..4 (E7: fills the client waits for vs. fills a flight
 # answered, and the speculation cost in source pages).
-# bench_async_fill repeats each benchmark 5 times and records only the
-# aggregates (mean/median/stddev/min); every JSON's "context" records the
-# host (name, CPUs, MHz, caches).
+# Every JSON's "context" records the host (name, CPUs, MHz, caches).
 #
 # The e2e suite is the end-to-end benchmark (bench_e2e/run.py, the
 # workloads of BENCHMARK.json), not a google-benchmark binary: it runs every
@@ -114,5 +121,25 @@ for name in "${SUITES[@]}"; do
   echo "== bench_$name"
   "$bin" --benchmark_format=json --benchmark_min_time="$MIN_TIME" \
     > "BENCH_$name.json"
+  if [ "$name" = node_id ] && [ -n "${NODE_ID_PARENT:-}" ]; then
+    echo "== bench_$name (parent: $NODE_ID_PARENT)"
+    "$NODE_ID_PARENT" --benchmark_format=json \
+      --benchmark_min_time="$MIN_TIME" > "BENCH_$name.parent.json"
+    python3 - "BENCH_$name.json" "BENCH_$name.parent.json" <<'PY'
+import json, sys
+out, parent_path = sys.argv[1], sys.argv[2]
+change, parent = json.load(open(out)), json.load(open(parent_path))
+for row in change["benchmarks"]:
+    row["rev"] = "change"
+for row in parent["benchmarks"]:
+    row["rev"] = "parent"
+change["benchmarks"] += parent["benchmarks"]
+change["context"]["parent_executable"] = parent["context"]["executable"]
+with open(out, "w") as f:
+    json.dump(change, f, indent=2)
+    f.write("\n")
+PY
+    rm -f "BENCH_$name.parent.json"
+  fi
 done
 echo "wrote: $(printf 'BENCH_%s.json ' "${SUITES[@]}")"

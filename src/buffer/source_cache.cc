@@ -15,13 +15,7 @@ namespace {
 constexpr int64_t kEntryOverheadBytes = 96;
 }  // namespace
 
-SourceCache::SourceCache(Options options) : options_(options) {
-  if (options_.shards < 1) options_.shards = 1;
-  shards_.reserve(static_cast<size_t>(options_.shards));
-  for (int i = 0; i < options_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+SourceCache::SourceCache(Options options) : options_(options) {}
 
 std::string SourceCache::Key(const std::string& source, int64_t generation,
                              char kind, const std::string& id) {
@@ -41,7 +35,7 @@ std::string SourceCache::Key(const std::string& source, int64_t generation,
 
 SourceCache::Shard& SourceCache::ShardFor(const std::string& key) {
   size_t h = std::hash<std::string>{}(key);
-  return *shards_[h % shards_.size()];
+  return shards_[h % kShards];
 }
 
 int64_t SourceCache::Generation(const std::string& source) {
@@ -116,11 +110,9 @@ void SourceCache::PublishRoot(const std::string& source, int64_t generation,
 }
 
 bool SourceCache::EvictOne() {
-  for (int k = 0; k < options_.shards; ++k) {
-    size_t idx = static_cast<size_t>(
-        evict_cursor_.fetch_add(1, std::memory_order_relaxed) %
-        shards_.size());
-    Shard& shard = *shards_[idx];
+  for (size_t k = 0; k < kShards; ++k) {
+    const uint64_t turn = evict_cursor_.fetch_add(1, std::memory_order_relaxed);
+    Shard& shard = shards_[turn % kShards];
     int64_t freed = 0;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
@@ -200,14 +192,14 @@ SourceCache::Stats SourceCache::stats() const {
   s.bytes = bytes_.load(std::memory_order_relaxed);
   s.entries = entries_.load(std::memory_order_relaxed);
   s.peak_bytes = peak_bytes_.load(std::memory_order_relaxed);
-  s.shards.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
+  s.shards.reserve(kShards);
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
     ShardStats ss;
-    ss.hits = shard->hits;
-    ss.misses = shard->misses;
-    ss.entries = static_cast<int64_t>(shard->lru.size());
-    ss.bytes = shard->bytes;
+    ss.hits = shard.hits;
+    ss.misses = shard.misses;
+    ss.entries = static_cast<int64_t>(shard.lru.size());
+    ss.bytes = shard.bytes;
     s.shards.push_back(ss);
   }
   return s;

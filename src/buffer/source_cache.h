@@ -38,6 +38,7 @@
 #ifndef MIX_BUFFER_SOURCE_CACHE_H_
 #define MIX_BUFFER_SOURCE_CACHE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <list>
@@ -57,8 +58,6 @@ class SourceCache {
     /// Global byte budget across all shards; <= 0 disables the cache
     /// (lookups miss, publishes are dropped).
     int64_t byte_budget = int64_t{64} << 20;
-    /// Lock stripes. More shards = less contention, slightly laxer LRU.
-    int shards = 8;
   };
 
   explicit SourceCache(Options options);
@@ -152,8 +151,12 @@ class SourceCache {
   /// false when every shard is empty.
   bool EvictOne();
 
+  /// Lock stripes: enough that concurrent sessions rarely contend, few
+  /// enough that the per-shard LRU stays close to a global one.
+  static constexpr size_t kShards = 8;
+
   Options options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::array<Shard, kShards> shards_;
   std::atomic<int64_t> bytes_{0};
   /// High-water mark of `bytes_` (CAS-max on every reservation).
   std::atomic<int64_t> peak_bytes_{0};

@@ -32,10 +32,8 @@
 namespace mix::mediator::passes {
 
 struct OptimizerOptions {
-  /// 0 disables optimization entirely (A/B baseline); >= 1 runs the
-  /// pipeline. Reserved headroom for level-gated passes later.
-  int level = 1;
-  /// Per-source capabilities (σ, pushdown, relational catalog).
+  /// Per-source capabilities (σ, pushdown, relational catalog). A source
+  /// that declares none is only rewritten by the source-independent passes.
   std::map<std::string, SourceCapability> sources;
   /// Called after each pass that changed the tree: (pass name, annotated
   /// DumpIr). Unset => MIX_DUMP_PASSES=1 in the environment dumps to stderr.
@@ -95,13 +93,12 @@ std::unique_ptr<Pass> MakeBrowsabilityPass();
 std::unique_ptr<Pass> MakeJoinReorderPass();
 
 /// Runs the Default pipeline on a clone of `*plan` and swaps the clone in
-/// on success. options.level <= 0 returns an empty report without touching
-/// the plan. On any failure `*plan` is left exactly as passed in.
+/// on success. On any failure `*plan` is left exactly as passed in.
 Result<OptimizeReport> OptimizePlan(PlanPtr* plan,
                                     const OptimizerOptions& options);
 
 /// Deterministic digest of everything that can change the optimized shape
-/// (level, σ/pushdown capabilities, catalogs). Mixed into the PlanCache key
+/// (σ/pushdown capabilities, catalogs). Mixed into the PlanCache key
 /// so a config change never serves a stale shape.
 std::string OptimizerFingerprint(const OptimizerOptions& options);
 

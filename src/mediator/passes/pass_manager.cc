@@ -80,7 +80,6 @@ Result<OptimizeReport> PassManager::Run(PlanPtr* root,
 
 Result<OptimizeReport> OptimizePlan(PlanPtr* plan,
                                     const OptimizerOptions& options) {
-  if (options.level <= 0) return OptimizeReport{};
   PlanPtr work = (*plan)->Clone();
 
   OptimizerOptions effective = options;
@@ -99,7 +98,7 @@ Result<OptimizeReport> OptimizePlan(PlanPtr* plan,
 }
 
 std::string OptimizerFingerprint(const OptimizerOptions& options) {
-  std::string fp = "v1;L" + std::to_string(options.level);
+  std::string fp = "v1";
   // std::map iterates sources in sorted order: deterministic.
   for (const auto& [name, cap] : options.sources) {
     fp += ";" + name + "=";

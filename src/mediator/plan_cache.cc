@@ -52,8 +52,8 @@ Result<std::shared_ptr<const PlanNode>> PlanCache::GetOrCompile(
 Result<std::shared_ptr<const PlanCache::Compiled>> PlanCache::GetOrCompileEntry(
     const std::string& xmas_text) {
   // The fingerprint participates in the key so that a cache whose optimizer
-  // config changes (level flip, capability registration) can never serve a
-  // shape produced under the old config.
+  // config changes (capability registration) can never serve a shape
+  // produced under the old config.
   const std::string key = fingerprint_ + '\n' + CanonicalXmasKey(xmas_text);
   if (options_.capacity > 0) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -73,14 +73,12 @@ Result<std::shared_ptr<const PlanCache::Compiled>> PlanCache::GetOrCompileEntry(
 
   auto compiled = std::make_shared<Compiled>();
   compiled->view_shape = ComputeViewShape(*owned);
-  if (options_.optimizer.level > 0) {
-    Result<passes::OptimizeReport> report =
-        passes::OptimizePlan(&owned, options_.optimizer);
-    // An optimizer failure is never a compile failure: serve the correct
-    // unoptimized plan (OptimizePlan left `owned` untouched) with an empty
-    // report rather than bouncing the query.
-    if (report.ok()) compiled->report = std::move(report).ValueOrDie();
-  }
+  Result<passes::OptimizeReport> report =
+      passes::OptimizePlan(&owned, options_.optimizer);
+  // An optimizer failure is never a compile failure: serve the correct
+  // unoptimized plan (OptimizePlan left `owned` untouched) with an empty
+  // report rather than bouncing the query.
+  if (report.ok()) compiled->report = std::move(report).ValueOrDie();
   compiled->plan = std::shared_ptr<const PlanNode>(std::move(owned));
 
   std::shared_ptr<const Compiled> shared = std::move(compiled);

@@ -46,8 +46,7 @@ class PlanCache {
     /// Max cached plans (LRU beyond that); <= 0 disables caching (every
     /// call compiles).
     int64_t capacity = 64;
-    /// Optimizer configuration applied after compilation. `level <= 0`
-    /// caches raw translator output (the A/B baseline). The cache key
+    /// Optimizer configuration applied after compilation. The cache key
     /// mixes in OptimizerFingerprint(optimizer), so two caches — or one
     /// cache reconfigured across restarts — never serve a shape produced
     /// under a different config.
@@ -55,8 +54,8 @@ class PlanCache {
   };
 
   /// A cached compilation: the (possibly optimized) plan plus the pass
-  /// report that produced it. `report` is all-zero when the optimizer is
-  /// off or declined the plan. `view_shape` is the answer-view descriptor
+  /// report that produced it. `report` is all-zero when the optimizer
+  /// changed nothing or failed. `view_shape` is the answer-view descriptor
   /// computed from the RAW translator output — it must be taken before
   /// optimization, because wrapper pushdown absorbs predicates into
   /// source URIs where subsumption matching can no longer see them.

@@ -72,7 +72,6 @@ std::string SessionMetrics::ToString() const {
   return "requests=" + std::to_string(requests) +
          " errors=" + std::to_string(errors) +
          " fills=" + std::to_string(fills) +
-         " p50_us=" + std::to_string(latency.PercentileNs(0.5) / 1000) +
          " lxp{" + lxp.ToString() + "}" +
          " faults{seen=" + std::to_string(source_faults) +
          " retries=" + std::to_string(source_retries) +
@@ -123,7 +122,6 @@ std::string ServiceMetricsSnapshot::ToString() const {
          " queued=" + std::to_string(queue_depth) + "}" +
          " frames{in=" + std::to_string(frames_in) +
          " out=" + std::to_string(frames_out) + "}" +
-         " wire{" + wire.ToString() + "}" +
          " latency{p50_us=" + std::to_string(p50_ns / 1000) +
          " p99_us=" + std::to_string(p99_ns / 1000) + "}" +
          " faults{seen=" + std::to_string(source_faults) +

@@ -55,7 +55,6 @@ class LatencyHistogram {
 struct SessionMetrics {
   int64_t requests = 0;
   int64_t errors = 0;
-  LatencyHistogram latency;
   /// LXP traffic of this session's buffered sources (demand channel).
   net::ChannelStats lxp;
   int64_t fills = 0;
@@ -142,7 +141,6 @@ struct ServiceMetricsSnapshot {
   // Wire accounting (frames crossing the service boundary).
   int64_t frames_in = 0;
   int64_t frames_out = 0;
-  net::ChannelStats wire;
   // Latency over completed requests (admission to response).
   int64_t p50_ns = 0;
   int64_t p99_ns = 0;

@@ -64,10 +64,8 @@ mediator::ColumnType ConvertColumnType(
 /// "db" view — against any other view the plan's paths do not match the
 /// relational catalog.
 mediator::passes::OptimizerOptions BuildOptimizerOptions(
-    const SessionEnvironment& env, int level) {
+    const SessionEnvironment& env) {
   mediator::passes::OptimizerOptions opts;
-  opts.level = level;
-  if (level <= 0) return opts;
   for (const auto& s : env.shared()) {
     if (s.capability.sigma) {
       mediator::SourceCapability cap;
@@ -100,7 +98,7 @@ mediator::PlanCache::Options PlanCacheOptions(
     const SessionEnvironment& env, const MediatorService::Options& options) {
   mediator::PlanCache::Options o;
   o.capacity = options.plan_cache_entries;
-  o.optimizer = BuildOptimizerOptions(env, options.optimizer_level);
+  o.optimizer = BuildOptimizerOptions(env);
   return o;
 }
 
@@ -109,8 +107,7 @@ mediator::PlanCache::Options PlanCacheOptions(
 MediatorService::MediatorService(const SessionEnvironment* env, Options options)
     : env_(env),
       options_(options),
-      source_cache_(buffer::SourceCache::Options{options.source_cache_bytes,
-                                                 options.source_cache_shards}),
+      source_cache_(buffer::SourceCache::Options{options.source_cache_bytes}),
       plan_cache_(PlanCacheOptions(*env, options)),
       answer_view_cache_(mediator::AnswerViewCache::Options{
           options.answer_view_cache_bytes}),
@@ -119,12 +116,9 @@ MediatorService::MediatorService(const SessionEnvironment* env, Options options)
                     options.max_sessions, options.session_idle_ttl_ns,
                     &fault_counters_,
                     options.source_cache_bytes > 0 ? &source_cache_ : nullptr,
-                    options.plan_cache_entries > 0 ? &plan_cache_ : nullptr,
-                    // The no-plan-cache path optimizes with the same config.
-                    BuildOptimizerOptions(*env, options.optimizer_level),
+                    &plan_cache_,
                     options.answer_view_cache_bytes > 0 ? &answer_view_cache_
                                                         : nullptr}),
-      wire_channel_(&wire_clock_, options.wire_costs),
       executor_(Executor::Options{options.workers, options.queue_capacity}) {
   uint64_t key = kWrapperKeyBase;
   for (const auto& [uri, wrapper] : env_->exported()) {
@@ -188,11 +182,10 @@ void MediatorService::Dispatch(
   {
     std::lock_guard<std::mutex> lock(metrics_mu_);
     ++frames_in_;
-    wire_channel_.Send(static_cast<int64_t>(request_bytes.size()));
   }
   auto respond = [this, done = std::move(done)](const Frame& response) {
     std::string bytes = wire::EncodeFrame(response);
-    FinishRequest(bytes, response.type == MsgType::kError);
+    FinishRequest(response.type == MsgType::kError);
     done(std::move(bytes));
   };
 
@@ -261,8 +254,7 @@ Result<std::string> MediatorService::RoundTrip(const std::string& request_bytes)
   return future.get();
 }
 
-void MediatorService::FinishRequest(const std::string& response_bytes,
-                                    bool is_error) {
+void MediatorService::FinishRequest(bool is_error) {
   std::lock_guard<std::mutex> lock(metrics_mu_);
   ++frames_out_;
   if (is_error) {
@@ -270,7 +262,6 @@ void MediatorService::FinishRequest(const std::string& response_bytes,
   } else {
     ++requests_ok_;
   }
-  wire_channel_.Send(static_cast<int64_t>(response_bytes.size()));
 }
 
 Frame MediatorService::Execute(
@@ -460,7 +451,6 @@ ServiceMetricsSnapshot MediatorService::Metrics() const {
     snap.requests_error = requests_error_;
     snap.frames_in = frames_in_;
     snap.frames_out = frames_out_;
-    snap.wire = wire_channel_.stats();
     snap.p50_ns = latency_.PercentileNs(0.5);
     snap.p99_ns = latency_.PercentileNs(0.99);
   }

@@ -16,9 +16,8 @@
 //   bytes in -> decode (Status-based) -> admit (kUnavailable if the queue
 //   is full) -> dequeue (kDeadlineExceeded if it waited too long) ->
 //   execute against the session's virtual document -> encode -> bytes out.
-// Frame traffic is charged to a service-wide net::Channel, so the wire
-// accounting of the simulated-network experiments extends to the server
-// boundary (frames_in/out, bytes, SendBatch-style cost model).
+// The service counts the frames crossing its boundary (frames_in/out); a
+// real transport hosting it reports its own socket counters (net{...}).
 #ifndef MIX_SERVICE_SERVICE_H_
 #define MIX_SERVICE_SERVICE_H_
 
@@ -29,7 +28,6 @@
 #include <string>
 
 #include "net/fault.h"
-#include "net/sim_net.h"
 #include "service/executor.h"
 #include "service/metrics.h"
 #include "service/session.h"
@@ -48,24 +46,18 @@ class MediatorService : public wire::FrameTransport {
     size_t max_sessions = 1024;
     /// Idle session TTL in ns (< 0: never evict).
     int64_t session_idle_ttl_ns = -1;
-    /// Cost model for the client<->service link (frame accounting).
-    net::ChannelOptions wire_costs;
     /// Byte budget of the shared source-fragment cache (DESIGN.md §4);
     /// 0 disables it — sessions always exchange with their wrappers.
     int64_t source_cache_bytes = 0;
-    /// Lock stripes of the fragment cache.
-    int source_cache_shards = 8;
     /// Compiled-plan cache capacity in entries; 0 disables (every Open
-    /// compiles). On by default: plans are tiny and pure.
+    /// compiles). On by default: plans are tiny and pure. Every compiled
+    /// plan is optimized against the source capabilities the environment
+    /// declares: shared sources their registered SourceCapability, wrapper
+    /// sources their WrapperOptions::capability — with pushdown honored
+    /// only for sources registered on the whole-database "db" view (a
+    /// source registered on a query view keeps plain LXP: its document
+    /// shape does not match the relational catalog).
     int64_t plan_cache_entries = 64;
-    /// Plan-optimizer level applied to every compiled plan (0 = off, the
-    /// A/B baseline). Source capabilities are probed once at construction:
-    /// shared sources from their registered SourceCapability, wrapper
-    /// sources from a probe instance's LxpWrapper::Capability() — with
-    /// pushdown honored only for sources registered on the whole-database
-    /// "db" view (a source already registered on a query view keeps plain
-    /// LXP: its document shape does not match the relational catalog).
-    int optimizer_level = 1;
     /// Byte budget of the answer-view cache (DESIGN.md §4 "Answer-view
     /// cache"); 0 disables it — every Open builds a live session. This is
     /// the E16 A/B knob.
@@ -168,7 +160,7 @@ class MediatorService : public wire::FrameTransport {
   /// parallelize while each open still occupies one queue slot.
   uint64_t KeyForRequest(const wire::Frame& request, Status* error) const;
 
-  void FinishRequest(const std::string& response_bytes, bool is_error);
+  void FinishRequest(bool is_error);
 
   const SessionEnvironment* env_;
   Options options_;
@@ -187,8 +179,6 @@ class MediatorService : public wire::FrameTransport {
   std::function<NetStats()> net_stats_provider_;
 
   mutable std::mutex metrics_mu_;
-  net::SimClock wire_clock_;
-  net::Channel wire_channel_;
   int64_t frames_in_ = 0;
   int64_t frames_out_ = 0;
   int64_t requests_ok_ = 0;

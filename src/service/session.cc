@@ -4,7 +4,6 @@
 
 #include "buffer/fault_wrapper.h"
 #include "core/block_hook.h"
-#include "mediator/translate.h"
 
 namespace mix::service {
 
@@ -88,17 +87,6 @@ void SessionEnvironment::ExportWrapper(std::string uri,
                                        bool concurrent) {
   if (concurrent) exported_concurrent_.insert(uri);
   exported_[std::move(uri)] = wrapper;
-}
-
-Result<std::shared_ptr<Session>> Session::Build(
-    uint64_t id, const SessionEnvironment& env, const std::string& xmas_text,
-    net::FaultCounters* fault_counters, buffer::SourceCache* source_cache) {
-  Result<mediator::PlanPtr> plan = mediator::CompileXmas(xmas_text);
-  if (!plan.ok()) return plan.status();
-  return Build(id, env,
-               std::shared_ptr<const mediator::PlanNode>(
-                   std::move(plan).ValueOrDie()),
-               fault_counters, source_cache);
 }
 
 Result<std::shared_ptr<Session>> Session::Build(
@@ -305,34 +293,12 @@ Result<uint64_t> SessionRegistry::Open(const std::string& xmas_text,
   // lock: opens of different sessions proceed in parallel on different
   // workers, and one slow compile cannot stall unrelated Opens
   // (ConcurrentOpensOverlap in service_test pins this down).
-  std::shared_ptr<const mediator::PlanNode> plan;
-  int64_t plan_rewrites = 0;
-  mediator::ViewShape view_shape;
-  if (options_.plan_cache != nullptr) {
-    Result<std::shared_ptr<const mediator::PlanCache::Compiled>> cached =
-        options_.plan_cache->GetOrCompileEntry(xmas_text);
-    if (!cached.ok()) return cached.status();
-    plan = cached.value()->plan;
-    plan_rewrites = cached.value()->report.total();
-    view_shape = cached.value()->view_shape;
-  } else {
-    Result<mediator::PlanPtr> compiled = mediator::CompileXmas(xmas_text);
-    if (!compiled.ok()) return compiled.status();
-    mediator::PlanPtr owned = std::move(compiled).ValueOrDie();
-    // The view descriptor must come from the RAW plan — wrapper pushdown
-    // hides predicates inside source URIs below.
-    if (options_.answer_view_cache != nullptr) {
-      view_shape = mediator::ComputeViewShape(*owned);
-    }
-    if (options_.optimizer.level > 0) {
-      // Optimizer failure is not an Open failure: OptimizePlan leaves the
-      // plan untouched on error and the raw plan is always correct.
-      Result<mediator::passes::OptimizeReport> report =
-          mediator::passes::OptimizePlan(&owned, options_.optimizer);
-      if (report.ok()) plan_rewrites = report.value().total();
-    }
-    plan = std::shared_ptr<const mediator::PlanNode>(std::move(owned));
-  }
+  Result<std::shared_ptr<const mediator::PlanCache::Compiled>> compiled =
+      options_.plan_cache->GetOrCompileEntry(xmas_text);
+  if (!compiled.ok()) return compiled.status();
+  std::shared_ptr<const mediator::PlanNode> plan = compiled.value()->plan;
+  const int64_t plan_rewrites = compiled.value()->report.total();
+  mediator::ViewShape view_shape = compiled.value()->view_shape;
   // view_match: test the descriptor for subsumption against the cached
   // answer views; on a hit the session is built over the snapshot instead
   // of live wrappers.

@@ -1,13 +1,14 @@
 // Multi-session state for the mixd mediator server.
 //
 // A *session* is one client's dialogue with one virtual answer document:
-// Open(xmas_text) compiles the query (mediator::CompileXmas), instantiates
-// the tree of lazy mediators, and — for every wrapper-backed source — gives
-// the session its OWN BufferComponent, simulated clock, and LXP channel, so
-// concurrent sessions never share mutable navigation state. Shared sources
-// registered as plain Navigables must be safe for concurrent reads (a
-// DocNavigable over an immutable document is; see DESIGN.md §4 on the Atom
-// and node-id thread-safety guarantees that make cross-thread ids work).
+// Open(xmas_text) compiles the query through the service's PlanCache,
+// instantiates the tree of lazy mediators, and — for every wrapper-backed
+// source — gives the session its OWN BufferComponent, simulated clock, and
+// LXP channel, so concurrent sessions never share mutable navigation state.
+// Shared sources registered as plain Navigables must be safe for concurrent
+// reads (a DocNavigable over an immutable document is; see DESIGN.md §4 on
+// the Atom and node-id thread-safety guarantees that make cross-thread ids
+// work).
 //
 // Sessions are ref-counted: the registry holds one reference, and each
 // in-flight request holds another for the duration of its execution, so an
@@ -44,7 +45,6 @@
 #include "mediator/answer_view_cache.h"
 #include "mediator/instantiate.h"
 #include "mediator/ir.h"
-#include "mediator/passes/pass.h"
 #include "mediator/plan_cache.h"
 #include "net/fault.h"
 #include "net/sim_net.h"
@@ -181,12 +181,6 @@ class Session {
       buffer::SourceCache* source_cache = nullptr,
       std::shared_ptr<const mediator::AnswerSnapshot> view_snapshot = nullptr);
 
-  /// Convenience overload: compiles `xmas_text` directly (no plan cache).
-  static Result<std::shared_ptr<Session>> Build(
-      uint64_t id, const SessionEnvironment& env, const std::string& xmas_text,
-      net::FaultCounters* fault_counters = nullptr,
-      buffer::SourceCache* source_cache = nullptr);
-
   uint64_t id() const { return id_; }
   Navigable* document() { return document_; }
   SessionMetrics& metrics() { return metrics_; }
@@ -310,13 +304,11 @@ class SessionRegistry {
     /// Shared source-fragment cache handed to every session built
     /// (nullptr: sessions always go to their wrappers).
     buffer::SourceCache* source_cache = nullptr;
-    /// Compiled-plan cache consulted before CompileXmas on Open (nullptr:
-    /// every Open compiles). Both caches are used OUTSIDE the registry
-    /// lock, so a slow compile or fill never stalls unrelated sessions.
+    /// Compiled-plan cache every Open compiles through (required; a cache
+    /// of capacity <= 0 compiles on every call). Both caches are used
+    /// OUTSIDE the registry lock, so a slow compile or fill never stalls
+    /// unrelated sessions.
     mediator::PlanCache* plan_cache = nullptr;
-    /// Optimizer configuration for the no-plan-cache path. When plan_cache
-    /// is set its Options::optimizer governs and this field is ignored.
-    mediator::passes::OptimizerOptions optimizer;
     /// Answer-view cache consulted on Open for subsumption-based serving
     /// (nullptr or disabled: every Open builds a live session). Used
     /// OUTSIDE the registry lock, like the other caches.

@@ -341,36 +341,24 @@ Result<Frame> DecodeFrame(std::string_view bytes, size_t* consumed) {
   if (bytes.size() < kHeaderBytes) {
     return Status::InvalidArgument("truncated frame header");
   }
-  uint32_t payload_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_len |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[i]))
-                   << (8 * i);
+  size_t frame_size = 0;
+  Status header;
+  switch (PeekFrame(bytes, &frame_size, &header)) {
+    case FramePeek::kCorrupt:
+      return header;
+    case FramePeek::kNeedMore:
+      return Status::InvalidArgument("truncated frame payload");
+    case FramePeek::kReady:
+      break;
   }
-  if (static_cast<uint8_t>(bytes[4]) != kMagic0 ||
-      static_cast<uint8_t>(bytes[5]) != kMagic1) {
-    return Status::InvalidArgument("bad frame magic");
-  }
-  if (static_cast<uint8_t>(bytes[6]) != kVersion) {
-    return Status::InvalidArgument("unsupported frame version");
-  }
-  uint8_t type = static_cast<uint8_t>(bytes[7]);
-  if (!KnownType(type)) {
-    return Status::InvalidArgument("unknown frame type " +
-                                   std::to_string(type));
-  }
-  if (payload_len > kMaxFrameBytes) {
-    return Status::InvalidArgument("frame payload exceeds limit");
-  }
-  if (bytes.size() - kHeaderBytes < payload_len) {
-    return Status::InvalidArgument("truncated frame payload");
-  }
-  if (consumed == nullptr && bytes.size() - kHeaderBytes > payload_len) {
+  if (consumed == nullptr && bytes.size() > frame_size) {
     return Status::InvalidArgument("trailing bytes after frame");
   }
+  const size_t payload_len = frame_size - kHeaderBytes;
 
   Reader r(bytes.substr(kHeaderBytes, payload_len));
   Frame frame;
-  frame.type = static_cast<MsgType>(type);
+  frame.type = static_cast<MsgType>(static_cast<uint8_t>(bytes[7]));
   frame.session = static_cast<uint64_t>(r.ReadI64());
   frame.deadline_ns = r.ReadI64();
   frame.number = r.ReadI64();
@@ -410,7 +398,7 @@ Result<Frame> DecodeFrame(std::string_view bytes, size_t* consumed) {
   if (r.remaining() != 0) {
     return Status::InvalidArgument("excess bytes inside frame payload");
   }
-  if (consumed != nullptr) *consumed = kHeaderBytes + payload_len;
+  if (consumed != nullptr) *consumed = frame_size;
   return frame;
 }
 

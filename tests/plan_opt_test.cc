@@ -19,6 +19,7 @@
 #include "mediator/passes/pass.h"
 #include "mediator/plan_cache.h"
 #include "mediator/plan_text.h"
+#include "mediator/reference_eval.h"
 #include "mediator/translate.h"
 #include "service/service.h"
 #include "test_util.h"
@@ -647,81 +648,91 @@ TEST(EndToEndTest, StackedMediatorsAgreeUnderOptimization) {
 }
 
 // ---------------------------------------------------------------------------
-// Service integration: A/B level, fault matrix, metrics
+// Service integration: reference answers, fault matrix, metrics
 // ---------------------------------------------------------------------------
 
-TEST(ServiceOptTest, AnswerByteIdenticalAcrossOptimizerLevels) {
-  auto answer_at_level = [](int level) {
+/// The Fig. 3 answer as the eager reference evaluator computes it over the
+/// raw (unoptimized) plan: the baseline every served answer must equal.
+std::string ReferenceFig3Answer() {
+  auto homes = testing::Doc(kHomes);
+  auto schools = testing::Doc(kSchools);
+  xml::Document scratch;
+  ReferenceSources sources{{"homesSrc", homes->root()},
+                           {"schoolsSrc", schools->root()}};
+  Result<const xml::Node*> answer =
+      EvaluateReference(*Compile(kFig3), sources, &scratch);
+  EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+  return answer.ok() ? xml::ToTerm(answer.value()) : std::string();
+}
+
+TEST(ServiceOptTest, OptimizedAnswerMatchesReferenceEvaluator) {
+  auto homes = testing::Doc(kHomes);
+  auto schools = testing::Doc(kSchools);
+  service::SessionEnvironment env;
+  env.RegisterWrapperFactory(
+      "homesSrc",
+      [&homes] {
+        return std::make_unique<wrappers::XmlLxpWrapper>(homes.get());
+      },
+      "homes.xml");
+  env.RegisterWrapperFactory(
+      "schoolsSrc",
+      [&schools] {
+        return std::make_unique<wrappers::XmlLxpWrapper>(schools.get());
+      },
+      "schools.xml");
+  service::MediatorService svc(&env, service::MediatorService::Options());
+  auto doc = FramedDocument::Open(&svc, kFig3).ValueOrDie();
+  EXPECT_EQ(testing::MaterializeToTerm(doc.get()), ReferenceFig3Answer());
+}
+
+TEST(ServiceOptTest, FaultMatrixAnswersMatchReferenceEvaluator) {
+  // The PR 4 fault matrix through the optimizing service: retries absorb
+  // the injected faults and the answers equal the eager reference.
+  const std::string expected = ReferenceFig3Answer();
+  for (double p : {0.05, 0.2}) {
     auto homes = testing::Doc(kHomes);
     auto schools = testing::Doc(kSchools);
     service::SessionEnvironment env;
+    service::SessionEnvironment::WrapperOptions wo;
+    wo.fault.p_fail = p;
+    wo.fault.p_truncate = p / 4;
+    wo.fault.p_garble = p / 4;
+    wo.fault.p_duplicate = p / 4;
+    wo.fault.p_delay = p;
+    wo.retry.max_attempts = 10;
     env.RegisterWrapperFactory(
         "homesSrc",
         [&homes] {
           return std::make_unique<wrappers::XmlLxpWrapper>(homes.get());
         },
-        "homes.xml");
+        "homes.xml", wo);
     env.RegisterWrapperFactory(
         "schoolsSrc",
         [&schools] {
           return std::make_unique<wrappers::XmlLxpWrapper>(schools.get());
         },
-        "schools.xml");
-    service::MediatorService::Options options;
-    options.optimizer_level = level;
-    service::MediatorService svc(&env, options);
+        "schools.xml", wo);
+    service::MediatorService svc(&env, service::MediatorService::Options());
     auto doc = FramedDocument::Open(&svc, kFig3).ValueOrDie();
-    return testing::MaterializeToTerm(doc.get());
-  };
-  EXPECT_EQ(answer_at_level(1), answer_at_level(0));
-}
-
-TEST(ServiceOptTest, FaultMatrixAnswersMatchAcrossLevels) {
-  // The PR 4 fault matrix at both optimizer levels: retries absorb the
-  // injected faults and the answers stay byte-identical level to level.
-  for (double p : {0.05, 0.2}) {
-    std::string answers[2];
-    for (int level = 0; level <= 1; ++level) {
-      auto homes = testing::Doc(kHomes);
-      auto schools = testing::Doc(kSchools);
-      service::SessionEnvironment env;
-      service::SessionEnvironment::WrapperOptions wo;
-      wo.fault.p_fail = p;
-      wo.fault.p_truncate = p / 4;
-      wo.fault.p_garble = p / 4;
-      wo.fault.p_duplicate = p / 4;
-      wo.fault.p_delay = p;
-      wo.retry.max_attempts = 10;
-      env.RegisterWrapperFactory(
-          "homesSrc",
-          [&homes] {
-            return std::make_unique<wrappers::XmlLxpWrapper>(homes.get());
-          },
-          "homes.xml", wo);
-      env.RegisterWrapperFactory(
-          "schoolsSrc",
-          [&schools] {
-            return std::make_unique<wrappers::XmlLxpWrapper>(schools.get());
-          },
-          "schools.xml", wo);
-      service::MediatorService::Options options;
-      options.optimizer_level = level;
-      service::MediatorService svc(&env, options);
-      auto doc = FramedDocument::Open(&svc, kFig3).ValueOrDie();
-      answers[level] = testing::MaterializeToTerm(doc.get());
-      EXPECT_TRUE(doc->last_status().ok());
-    }
-    EXPECT_EQ(answers[1], answers[0]) << "p=" << p;
+    EXPECT_EQ(testing::MaterializeToTerm(doc.get()), expected) << "p=" << p;
+    EXPECT_TRUE(doc->last_status().ok());
   }
 }
 
 TEST(ServiceOptTest, RelationalPushdownFiltersServerSide) {
   rdb::Database db = MakeRealtyDb(200);
-  auto run = [&db](int level, int64_t* wrapper_fills) {
+  // `declare_pushdown` false registers the same wrapper without its
+  // capability: the optimizer then has no license to push the selection
+  // into the source, which is the baseline the pushdown is measured
+  // against.
+  auto run = [&db](bool declare_pushdown, int64_t* wrapper_fills) {
     std::vector<wrappers::RelationalLxpWrapper*> created;
     service::SessionEnvironment env;
     service::SessionEnvironment::WrapperOptions wo;
-    wo.capability = wrappers::RelationalLxpWrapper(&db).Capability();
+    if (declare_pushdown) {
+      wo.capability = wrappers::RelationalLxpWrapper(&db).Capability();
+    }
     env.RegisterWrapperFactory(
         "realty",
         [&db, &created]() -> std::unique_ptr<buffer::LxpWrapper> {
@@ -730,40 +741,45 @@ TEST(ServiceOptTest, RelationalPushdownFiltersServerSide) {
           return w;
         },
         "db", wo);
-    service::MediatorService::Options options;
-    options.optimizer_level = level;
-    service::MediatorService svc(&env, options);
+    service::MediatorService svc(&env, service::MediatorService::Options());
     auto doc = FramedDocument::Open(&svc, kZipQuery).ValueOrDie();
     std::string answer = testing::MaterializeToTerm(doc.get());
     *wrapper_fills = created.at(0)->fills_served();
 
     service::ServiceMetricsSnapshot snap = svc.Metrics();
-    if (level > 0) {
+    if (declare_pushdown) {
       EXPECT_GE(snap.plans_optimized, 1);
       EXPECT_GT(snap.optimizer_rewrites, 0);
       EXPECT_NE(snap.ToString().find("wrapper_pushdown"), std::string::npos);
     } else {
-      EXPECT_EQ(snap.plans_optimized, 0);
+      // The source-independent passes still run; the pushdown may not.
+      EXPECT_EQ(snap.ToString().find("wrapper_pushdown"), std::string::npos);
     }
     return answer;
   };
-  int64_t fills0 = 0, fills1 = 0;
-  std::string baseline = run(0, &fills0);
-  std::string optimized = run(1, &fills1);
+  int64_t fills_plain = 0, fills_pushdown = 0;
+  std::string baseline = run(false, &fills_plain);
+  std::string optimized = run(true, &fills_pushdown);
   EXPECT_EQ(optimized, baseline);
-  EXPECT_LT(fills1, fills0);
+  EXPECT_LT(fills_pushdown, fills_plain);
 }
 
 TEST(ServiceOptTest, PlanCacheKeySeparatesOptimizerConfigs) {
-  PlanCache::Options level0;
-  level0.optimizer.level = 0;
-  PlanCache::Options level1;
-  level1.optimizer.level = 1;
-  level1.optimizer.sources["realty"] = RealtyCapability();
-  EXPECT_NE(passes::OptimizerFingerprint(level0.optimizer),
-            passes::OptimizerFingerprint(level1.optimizer));
+  PlanCache::Options plain;
+  PlanCache::Options sigma_only;
+  sigma_only.optimizer.sources["realty"].sigma = true;
+  PlanCache::Options pushdown;
+  pushdown.optimizer.sources["realty"] = RealtyCapability();
+  const std::string fp_plain = passes::OptimizerFingerprint(plain.optimizer);
+  const std::string fp_sigma =
+      passes::OptimizerFingerprint(sigma_only.optimizer);
+  const std::string fp_pushdown =
+      passes::OptimizerFingerprint(pushdown.optimizer);
+  EXPECT_NE(fp_plain, fp_sigma);
+  EXPECT_NE(fp_plain, fp_pushdown);
+  EXPECT_NE(fp_sigma, fp_pushdown);
 
-  PlanCache cache(level1);
+  PlanCache cache(pushdown);
   auto first = cache.GetOrCompileEntry(kZipQuery);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_GT(first.value()->report.total(), 0);

@@ -22,10 +22,12 @@
 #include "client/framed_document.h"
 #include "mediator/instantiate.h"
 #include "mediator/translate.h"
+#include "rdb/database.h"
 #include "service/service.h"
 #include "service/session.h"
 #include "service/wire.h"
 #include "test_util.h"
+#include "wrappers/relational_wrapper.h"
 #include "wrappers/xml_lxp_wrapper.h"
 #include "xml/doc_navigable.h"
 
@@ -707,6 +709,92 @@ TEST(ServiceTest, SharedCacheServesSecondSessionWithoutWrapperFills) {
   EXPECT_GT(snap.cache_bytes, 0);
   EXPECT_EQ(snap.plan_cache_hits, 1);
   EXPECT_GE(snap.plan_cache_misses, 1);
+}
+
+/// What one plan-cache configuration did over a fixed sequence of opens.
+struct PlanCacheRun {
+  std::vector<std::string> answers;
+  std::vector<int64_t> plan_rewrites;
+  ServiceMetricsSnapshot snap;
+};
+
+/// Opens Fig. 3 (XML sources) and a zip selection over a relational source
+/// that declares pushdown, twice each, with the answer-view cache on.
+PlanCacheRun RunOpensWithPlanCache(int64_t plan_cache_entries) {
+  rdb::Database db("realty");
+  rdb::Table* table =
+      db.CreateTable("homes", rdb::Schema({{"addr", rdb::Type::kString},
+                                           {"zip", rdb::Type::kInt}}))
+          .ValueOrDie();
+  for (int i = 0; i < 60; ++i) {
+    EXPECT_TRUE(table
+                    ->Insert({rdb::Value("street " + std::to_string(i)),
+                              rdb::Value(int64_t{91220 + i % 6})})
+                    .ok());
+  }
+  ServiceFixture fx;
+  SessionEnvironment::WrapperOptions wo;
+  wo.capability = wrappers::RelationalLxpWrapper(&db).Capability();
+  fx.env().RegisterWrapperFactory(
+      "realty",
+      [&db] { return std::make_unique<wrappers::RelationalLxpWrapper>(&db); },
+      "db", wo);
+  const char* zip_query =
+      "CONSTRUCT <hits> $R {$R} </hits> {} "
+      "WHERE realty realty.homes.row $R AND $R zip._ $Z AND $Z = '91223'";
+
+  MediatorService::Options options;
+  options.plan_cache_entries = plan_cache_entries;
+  options.answer_view_cache_bytes = 1 << 20;
+  MediatorService service(&fx.env(), options);
+  PlanCacheRun run;
+  for (int round = 0; round < 2; ++round) {
+    for (const char* query : {kFig3, zip_query}) {
+      auto doc = FramedDocument::Open(&service, query).ValueOrDie();
+      std::shared_ptr<Session> session =
+          service.registry().Find(doc->session_id());
+      EXPECT_NE(session, nullptr);
+      run.plan_rewrites.push_back(
+          session != nullptr ? session->metrics().plan_rewrites : -1);
+      run.answers.push_back(testing::MaterializeToTerm(doc.get()));
+      EXPECT_TRUE(doc->Close().ok());
+    }
+  }
+  run.snap = service.Metrics();
+  return run;
+}
+
+TEST(ServiceTest, PlanCacheOffCompilesEveryOpenAndStillOptimizes) {
+  const PlanCacheRun cached = RunOpensWithPlanCache(64);
+  const PlanCacheRun uncached = RunOpensWithPlanCache(0);
+
+  // Same answers, and Fig. 3 is the expected one.
+  EXPECT_EQ(uncached.answers, cached.answers);
+  ASSERT_EQ(uncached.answers.size(), 4u);
+  EXPECT_EQ(uncached.answers[0], kExpectedAnswer);
+  EXPECT_NE(uncached.answers[1].find("zip[91223]"), std::string::npos);
+
+  // Capacity 0 still optimizes: the pushdown query's plan was rewritten on
+  // both of its opens, exactly as the cached run's plan was.
+  EXPECT_GT(uncached.plan_rewrites[1], 0);
+  EXPECT_EQ(uncached.plan_rewrites, cached.plan_rewrites);
+
+  // Every open compiled: nothing was cached or hit, and each open of a
+  // query the optimizer rewrites counted a fresh optimized compile. The
+  // cached run compiled each query once and hit on its second open.
+  int64_t rewritten_opens = 0;
+  for (int64_t r : uncached.plan_rewrites) rewritten_opens += r > 0 ? 1 : 0;
+  EXPECT_EQ(uncached.snap.plan_cache_hits, 0);
+  EXPECT_EQ(uncached.snap.plans_optimized, rewritten_opens);
+  EXPECT_EQ(cached.snap.plan_cache_hits, 2);
+  EXPECT_EQ(cached.snap.plans_optimized, rewritten_opens / 2);
+
+  // The answer-view descriptor still comes through: the first Fig. 3
+  // session publishes and the second is served from its snapshot.
+  EXPECT_GE(uncached.snap.view_publishes, 1);
+  EXPECT_GE(uncached.snap.view_hits, 1);
+  EXPECT_EQ(uncached.snap.view_publishes, cached.snap.view_publishes);
+  EXPECT_EQ(uncached.snap.view_hits, cached.snap.view_hits);
 }
 
 TEST(ServiceTest, InvalidateSourcePreservesFreshnessSemantics) {

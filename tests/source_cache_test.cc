@@ -26,7 +26,7 @@ FragmentList OneElement(const std::string& label) {
 }
 
 TEST(SourceCacheTest, HitMissAndStats) {
-  SourceCache cache(SourceCache::Options{1 << 20, 4});
+  SourceCache cache(SourceCache::Options{1 << 20});
   EXPECT_EQ(cache.LookupFill("homes", 0, "t:homes:0"), nullptr);
 
   cache.PublishFill("homes", 0, "t:homes:0", OneElement("row"));
@@ -50,7 +50,7 @@ TEST(SourceCacheTest, HitMissAndStats) {
 }
 
 TEST(SourceCacheTest, RootEntriesRoundTrip) {
-  SourceCache cache(SourceCache::Options{1 << 20, 4});
+  SourceCache cache(SourceCache::Options{1 << 20});
   std::string root_id;
   EXPECT_FALSE(cache.LookupRoot("homes", 0, "homes.xml", &root_id));
   cache.PublishRoot("homes", 0, "homes.xml", "x:0:0:3");
@@ -60,34 +60,59 @@ TEST(SourceCacheTest, RootEntriesRoundTrip) {
   EXPECT_EQ(cache.LookupFill("homes", 0, "homes.xml"), nullptr);
 }
 
+/// `n` hole ids of equal length whose cache keys (source "s", generation 0)
+/// land in one lock stripe, so that stripe's LRU order is exact and is the
+/// cache's eviction order (eviction skips empty stripes).
+std::vector<std::string> SameShardHoleIds(size_t n) {
+  std::vector<std::string> ids;
+  size_t shard = 0;
+  for (int i = 100; ids.size() < n && i < 1000; ++i) {
+    const std::string id = "k" + std::to_string(i);
+    SourceCache probe;
+    probe.PublishFill("s", 0, id, OneElement("vv"));
+    const std::vector<SourceCache::ShardStats> shards = probe.stats().shards;
+    size_t at = 0;
+    while (shards[at].entries == 0) ++at;
+    if (ids.empty()) shard = at;
+    if (at == shard) ids.push_back(id);
+  }
+  EXPECT_EQ(ids.size(), n);
+  return ids;
+}
+
 TEST(SourceCacheTest, ByteBudgetNeverExceededAndLruEvicts) {
-  // Measure one entry's charge (all four entries below have equal-length
-  // keys and payloads), then budget exactly three of them.
+  // Four keys in one stripe, with equal-length keys and payloads.
+  const std::vector<std::string> ids = SameShardHoleIds(4);
+  ASSERT_EQ(ids.size(), 4u);
+  const std::string& a = ids[0];
+  const std::string& b = ids[1];
+  const std::string& c = ids[2];
+  const std::string& d = ids[3];
+  // Measure one entry's charge, then budget exactly three of them.
   int64_t per_entry;
   {
-    SourceCache probe(SourceCache::Options{1 << 20, 1});
-    probe.PublishFill("s", 0, "a", OneElement("aa"));
+    SourceCache probe;
+    probe.PublishFill("s", 0, a, OneElement("vv"));
     per_entry = probe.stats().bytes;
     ASSERT_GT(per_entry, 0);
   }
   const int64_t budget = 3 * per_entry;
-  // One shard: the LRU order is exact, so eviction order is deterministic.
-  SourceCache cache(SourceCache::Options{budget, 1});
-  cache.PublishFill("s", 0, "a", OneElement("aa"));
-  cache.PublishFill("s", 0, "b", OneElement("bb"));
-  cache.PublishFill("s", 0, "c", OneElement("cc"));
+  SourceCache cache(SourceCache::Options{budget});
+  cache.PublishFill("s", 0, a, OneElement("vv"));
+  cache.PublishFill("s", 0, b, OneElement("vv"));
+  cache.PublishFill("s", 0, c, OneElement("vv"));
   ASSERT_EQ(cache.stats().evictions, 0) << "budget sized for three entries";
 
-  // Touch "a": it becomes most-recently-used, so the next eviction takes "b".
-  ASSERT_NE(cache.LookupFill("s", 0, "a"), nullptr);
-  cache.PublishFill("s", 0, "d", OneElement("dd"));
+  // Touch a: it becomes most-recently-used, so the next eviction takes b.
+  ASSERT_NE(cache.LookupFill("s", 0, a), nullptr);
+  cache.PublishFill("s", 0, d, OneElement("vv"));
 
   SourceCache::Stats stats = cache.stats();
   EXPECT_GT(stats.evictions, 0);
   EXPECT_LE(stats.bytes, budget);
-  EXPECT_NE(cache.LookupFill("s", 0, "a"), nullptr) << "MRU must survive";
-  EXPECT_EQ(cache.LookupFill("s", 0, "b"), nullptr) << "LRU must be evicted";
-  EXPECT_NE(cache.LookupFill("s", 0, "d"), nullptr);
+  EXPECT_NE(cache.LookupFill("s", 0, a), nullptr) << "MRU must survive";
+  EXPECT_EQ(cache.LookupFill("s", 0, b), nullptr) << "LRU must be evicted";
+  EXPECT_NE(cache.LookupFill("s", 0, d), nullptr);
 
   // The byte account matches the entries actually reachable.
   int64_t entries = cache.stats().entries;
@@ -95,7 +120,7 @@ TEST(SourceCacheTest, ByteBudgetNeverExceededAndLruEvicts) {
 }
 
 TEST(SourceCacheTest, OversizeEntryRejected) {
-  SourceCache cache(SourceCache::Options{128, 2});
+  SourceCache cache(SourceCache::Options{128});
   FragmentList big;
   for (int i = 0; i < 64; ++i) big.push_back(Fragment::Element("padpadpad"));
   cache.PublishFill("s", 0, "huge", std::move(big));
@@ -108,7 +133,7 @@ TEST(SourceCacheTest, OversizeEntryRejected) {
 }
 
 TEST(SourceCacheTest, DisabledCacheDropsEverything) {
-  SourceCache cache(SourceCache::Options{0, 2});
+  SourceCache cache(SourceCache::Options{0});
   cache.PublishFill("s", 0, "a", OneElement("x"));
   EXPECT_EQ(cache.LookupFill("s", 0, "a"), nullptr);
   EXPECT_EQ(cache.stats().insertions, 0);
@@ -127,7 +152,7 @@ TEST(SourceCacheTest, DuplicatePublishRaceLeaksNoBytes) {
   // the same).
   int64_t per_entry;
   {
-    SourceCache probe(SourceCache::Options{1 << 20, 1});
+    SourceCache probe;
     probe.PublishFill("s", 0, "k:00", OneElement("vv"));
     per_entry = probe.stats().bytes;
     ASSERT_GT(per_entry, 0);
@@ -136,7 +161,7 @@ TEST(SourceCacheTest, DuplicatePublishRaceLeaksNoBytes) {
   constexpr int kThreads = 8;
   constexpr int kKeys = 32;
   constexpr int kRounds = 64;
-  SourceCache cache(SourceCache::Options{1 << 20, 8});
+  SourceCache cache(SourceCache::Options{1 << 20});
   auto key = [](int i) {
     return std::string("k:") + (i < 10 ? "0" : "") + std::to_string(i);
   };
@@ -169,7 +194,7 @@ TEST(SourceCacheTest, DuplicatePublishRaceLeaksNoBytes) {
 }
 
 TEST(SourceCacheTest, GenerationBumpInvalidatesWithoutScrubbing) {
-  SourceCache cache(SourceCache::Options{1 << 20, 4});
+  SourceCache cache(SourceCache::Options{1 << 20});
   int64_t g0 = cache.Generation("homes");
   EXPECT_EQ(g0, 0);
   cache.PublishFill("homes", g0, "t:homes:0", OneElement("old"));
@@ -204,7 +229,7 @@ BufferComponent::Options CacheOptions(SourceCache* cache, int64_t generation) {
 
 TEST(SourceCacheBufferTest, SecondBufferServedEntirelyFromCache) {
   auto doc = testing::Doc(kHomes);
-  SourceCache cache(SourceCache::Options{1 << 20, 4});
+  SourceCache cache(SourceCache::Options{1 << 20});
 
   wrappers::XmlLxpWrapper wrapper1(doc.get());
   BufferComponent buffer1(&wrapper1, "homes.xml", CacheOptions(&cache, 0));
@@ -229,7 +254,7 @@ TEST(SourceCacheBufferTest, SecondBufferServedEntirelyFromCache) {
 
 TEST(SourceCacheBufferTest, PinnedGenerationIgnoresNewerEntries) {
   auto doc = testing::Doc(kHomes);
-  SourceCache cache(SourceCache::Options{1 << 20, 4});
+  SourceCache cache(SourceCache::Options{1 << 20});
 
   wrappers::XmlLxpWrapper wrapper1(doc.get());
   BufferComponent buffer1(&wrapper1, "homes.xml", CacheOptions(&cache, 0));
@@ -259,7 +284,7 @@ class FillsAlwaysFailWrapper : public LxpWrapper {
 };
 
 TEST(SourceCacheBufferTest, DegradedFillsAreNeverPublished) {
-  SourceCache cache(SourceCache::Options{1 << 20, 4});
+  SourceCache cache(SourceCache::Options{1 << 20});
   FillsAlwaysFailWrapper wrapper;
   BufferComponent buffer(&wrapper, "down.xml", CacheOptions(&cache, 0));
 
@@ -346,7 +371,7 @@ TEST(PlanCacheTest, CapacityEvictsLeastRecentlyUsed) {
 
 TEST(SourceCacheTest, ConcurrentHammerStaysWithinBudget) {
   constexpr int64_t kBudget = 4096;
-  SourceCache cache(SourceCache::Options{kBudget, 4});
+  SourceCache cache(SourceCache::Options{kBudget});
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 2000;
   std::atomic<bool> over_budget{false};

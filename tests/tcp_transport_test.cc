@@ -969,5 +969,93 @@ TEST(TcpTransportTest, RetryPolicyReconnectsThroughFlakyFront) {
   front.join();
 }
 
+// --------------------------------------------------------------------------
+// Connection limits: the idle timeout and the connection cap.
+// --------------------------------------------------------------------------
+
+TEST(TcpTransportTest, IdleConnectionClosedButNotOneWithACommandInFlight) {
+  GatedFixture fx;
+  MediatorService service(&fx.env(), {});
+  TcpServerOptions opts;
+  opts.event_loops = 1;
+  opts.idle_timeout_ns = 200'000'000;
+  TcpServer server(&service, opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  // The busy connection: a command blocked in the gated source, held there
+  // for several idle timeouts.
+  TcpTransportOptions copts;
+  copts.port = server.port();
+  TcpFrameTransport busy(copts);
+  auto doc = FramedDocument::Open(&busy, HomesQuery("slowSrc", "a"))
+                 .ValueOrDie();
+  NodeId root = doc->Root();
+  ASSERT_TRUE(root.valid());
+  std::atomic<bool> done{false};
+  std::thread command([&] {
+    std::vector<SubtreeEntry> entries;
+    doc->FetchSubtree(root, -1, &entries);
+    EXPECT_TRUE(doc->last_status().ok());
+    EXPECT_FALSE(entries.empty());
+    done = true;
+  });
+  ASSERT_TRUE(WaitUntil([&] { return fx.gate().entered.load() > 0; }));
+
+  // The idle connection: one request answered, then silence.
+  RawClient idle = RawClient::Connect(server.port());
+  idle.Send(MetricsRequest());
+  ASSERT_TRUE(idle.ReadFrame().ok());
+  EXPECT_TRUE(idle.WaitClosed(std::chrono::milliseconds(5000)));
+  EXPECT_EQ(server.stats().idle_closes, 1) << server.stats().ToString();
+
+  // Three more idle timeouts with the command still in flight: the busy
+  // connection stays open.
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  EXPECT_FALSE(done.load()) << "the command was not held in its source";
+  service::NetStats held = server.stats();
+  EXPECT_EQ(held.idle_closes, 1) << held.ToString();
+  EXPECT_EQ(held.conns_active, 1) << held.ToString();
+
+  fx.gate().hold = false;
+  command.join();
+  // The response came back on the connection it was sent on: no reconnect.
+  EXPECT_EQ(server.stats().accepts, 2) << server.stats().ToString();
+}
+
+TEST(TcpTransportTest, AcceptBeyondMaxConnectionsIsShed) {
+  TcpFixture fx;
+  MediatorService service(&fx.env(), {});
+  TcpServerOptions opts;
+  opts.max_connections = 2;
+  TcpServer server(&service, opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  RawClient a = RawClient::Connect(server.port());
+  auto b = std::make_unique<RawClient>(RawClient::Connect(server.port()));
+  a.Send(MetricsRequest());
+  ASSERT_TRUE(a.ReadFrame().ok());
+  b->Send(MetricsRequest());
+  ASSERT_TRUE(b->ReadFrame().ok());
+
+  // The third connection completes its handshake in the kernel, and the
+  // server closes it on accept without serving it.
+  RawClient shed = RawClient::Connect(server.port());
+  EXPECT_TRUE(shed.WaitClosed(std::chrono::milliseconds(5000)));
+  service::NetStats at_cap = server.stats();
+  EXPECT_EQ(at_cap.accepts, 2) << at_cap.ToString();
+  EXPECT_EQ(at_cap.conns_active, 2) << at_cap.ToString();
+
+  // The admitted connections are unaffected, and a freed slot admits the
+  // next connection.
+  a.Send(MetricsRequest());
+  EXPECT_TRUE(a.ReadFrame().ok());
+  b.reset();
+  ASSERT_TRUE(WaitUntil([&] { return server.stats().conns_active == 1; }));
+  RawClient next = RawClient::Connect(server.port());
+  next.Send(MetricsRequest());
+  EXPECT_TRUE(next.ReadFrame().ok());
+  EXPECT_EQ(server.stats().accepts, 3) << server.stats().ToString();
+}
+
 }  // namespace
 }  // namespace mix::net::tcp
