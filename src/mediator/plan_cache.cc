@@ -55,7 +55,7 @@ Result<std::shared_ptr<const PlanCache::Compiled>> PlanCache::GetOrCompileEntry(
   // config changes (capability registration) can never serve a shape
   // produced under the old config.
   const std::string key = fingerprint_ + '\n' + CanonicalXmasKey(xmas_text);
-  if (options_.capacity > 0) {
+  {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
     if (it != index_.end()) {
@@ -63,6 +63,7 @@ Result<std::shared_ptr<const PlanCache::Compiled>> PlanCache::GetOrCompileEntry(
       ++hits_;
       return it->second->second;
     }
+    // One miss per compile, also with the cache off (capacity <= 0).
     ++misses_;
   }
   // Compile (and optimize) outside the lock: one slow compile must not

@@ -44,7 +44,7 @@ class PlanCache {
  public:
   struct Options {
     /// Max cached plans (LRU beyond that); <= 0 disables caching (every
-    /// call compiles).
+    /// call compiles and counts a miss).
     int64_t capacity = 64;
     /// Optimizer configuration applied after compilation. The cache key
     /// mixes in OptimizerFingerprint(optimizer), so two caches — or one
