@@ -685,7 +685,7 @@ TEST(ChainReadaheadTest, CachedHolesGetNoFlightAndTheWindowRefillsAfterAHit) {
   {
     ChainWrapper publisher;
     for (int i = 1; i <= 9; ++i) {
-      cache.PublishFill("chain", 0, ChainWrapper::Chain(i),
+      cache.PublishFill(cache.PinSource("chain", 0), ChainWrapper::Chain(i),
                         publisher.Fill(ChainWrapper::Chain(i)));
     }
   }
