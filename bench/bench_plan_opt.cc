@@ -296,28 +296,10 @@ void BM_OptimizeCost(benchmark::State& state) {
   {
     rdb::Database homes = MakeHomesDb(8);
     rdb::Database schools = MakeSchoolsDb(8);
-    buffer::PushdownCapability hc =
+    options.sources["realty"] =
         wrappers::RelationalLxpWrapper(&homes).Capability();
-    buffer::PushdownCapability sc =
+    options.sources["edu"] =
         wrappers::RelationalLxpWrapper(&schools).Capability();
-    for (const auto* cap : {&hc, &sc}) {
-      mediator::SourceCapability converted;
-      converted.pushdown = cap->pushdown;
-      converted.database = cap->database;
-      for (const auto& [table, cols] : cap->tables) {
-        for (const auto& col : cols) {
-          converted.tables[table].push_back(
-              {col.name,
-               col.type == buffer::PushdownCapability::ColumnType::kInt
-                   ? mediator::ColumnType::kInt
-                   : col.type ==
-                             buffer::PushdownCapability::ColumnType::kDouble
-                         ? mediator::ColumnType::kDouble
-                         : mediator::ColumnType::kString});
-        }
-      }
-      options.sources[cap == &hc ? "realty" : "edu"] = converted;
-    }
   }
 
   int64_t rewrites = 0;

@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "buffer/source_cache.h"
 #include "client/client.h"
 #include "client/framed_document.h"
 #include "net/tcp/tcp_server.h"
@@ -190,21 +189,7 @@ int main(int argc, char** argv) {
     (void)warm->Close();
   }
 
-  // 7. The shared fragment cache, shard by shard: per-stripe hit/miss/byte
-  // counters plus the byte high-water mark of the whole cache.
-  buffer::SourceCache::Stats cache_stats = server.source_cache().stats();
-  std::printf("--- source cache shards (peak %lld bytes) ---\n",
-              static_cast<long long>(cache_stats.peak_bytes));
-  for (size_t i = 0; i < cache_stats.shards.size(); ++i) {
-    const auto& shard = cache_stats.shards[i];
-    std::printf("  shard %zu: hits=%lld misses=%lld entries=%lld bytes=%lld\n",
-                i, static_cast<long long>(shard.hits),
-                static_cast<long long>(shard.misses),
-                static_cast<long long>(shard.entries),
-                static_cast<long long>(shard.bytes));
-  }
-
-  // 8. Service-wide metrics, fetched through the wire like any command —
+  // 7. Service-wide metrics, fetched through the wire like any command —
   // over tcp the snapshot's net{...} block is the live listener counters.
   auto metrics_transport = new_transport();
   service::wire::Frame req;
@@ -212,7 +197,7 @@ int main(int argc, char** argv) {
   auto resp = service::wire::Call(metrics_transport.get(), req).ValueOrDie();
   std::printf("--- mixd metrics ---\n%s", resp.text.c_str());
 
-  // 9. Over tcp: drain the listener and print its final per-connection
+  // 8. Over tcp: drain the listener and print its final per-connection
   // accounting (every client above was one accept).
   if (tcp_server) {
     tcp_server->Stop();

@@ -16,8 +16,10 @@
 # rows of BM_SharedCacheSessions: wrapper_exchanges (>= 50% reduction warm),
 # items_per_second (>= 2x), mismatches (= 0), and BM_CacheBudgetPressure's
 # evictions + rejects (> 0: the undersized budget churns, either displacing
-# entries or turning publishes away) / over_budget (= 0); BM_CacheOps' "rev"
-# rows price the lookup path against a parent build. For
+# entries or turning publishes away) / over_budget (= 0); BM_CacheOps'
+# threads:1 and threads:4 rows give the publish+lookup pairs per second one
+# shared cache serves, and their "rev" rows price them against a parent
+# build. For
 # BENCH_plan_opt.json (E15) compare
 # the pushdown:0 vs pushdown:1 rows of BM_RelationalScanPushdown and
 # BM_RelationalJoinPushdown (the sources registered without vs with their
@@ -29,11 +31,15 @@
 #
 # BENCH_node_id.json, BENCH_plan_opt.json, BENCH_async_fill.json and
 # BENCH_source_cache.json record 5 repetitions per benchmark, aggregates only
-# (mean/median/stddev/min; see bench/bench_stats.h). <SUITE>_PARENT=<that
+# (mean/median/stddev/cv/min; see bench/bench_stats.h). <SUITE>_PARENT=<that
 # suite's bench binary built from a parent checkout> (NODE_ID_PARENT,
 # SOURCE_CACHE_PARENT, ...) adds that binary's rows to the suite's
-# BENCH_<suite>.json, run right after the current tree's and marked "rev":
-# "parent" (the current tree's rows are "rev": "change").
+# BENCH_<suite>.json, marked "rev": "parent" (the current tree's rows are
+# "rev": "change"). The two binaries then run 5 single-repetition pairs
+# (BENCH_REPETITIONS=1), alternating which goes first — the first run of a
+# series is often the slowest — and the script aggregates each side's 5 runs
+# into the same aggregates-only rows. A parent binary must be built with
+# this tree's bench/bench_stats.h, or it ignores BENCH_REPETITIONS.
 #
 # For BENCH_answer_views.json (E16) compare the views_kb:0 vs views_kb:1024
 # rows of BM_AnswerViewSessions: warm wrapper_exchanges (= 0 with views on),
@@ -122,30 +128,78 @@ for name in "${SUITES[@]}"; do
     echo "missing $bin — build first: cmake -B $BUILD -S . && cmake --build $BUILD" >&2
     exit 1
   fi
-  echo "== bench_$name"
-  "$bin" --benchmark_format=json --benchmark_min_time="$MIN_TIME" \
-    > "BENCH_$name.json"
   parent_var="$(echo "$name" | tr '[:lower:]' '[:upper:]')_PARENT"
   parent_bin="${!parent_var:-}"
-  if [ -n "$parent_bin" ]; then
-    echo "== bench_$name (parent: $parent_bin)"
-    "$parent_bin" --benchmark_format=json \
-      --benchmark_min_time="$MIN_TIME" > "BENCH_$name.parent.json"
-    python3 - "BENCH_$name.json" "BENCH_$name.parent.json" <<'PY'
-import json, sys
-out, parent_path = sys.argv[1], sys.argv[2]
-change, parent = json.load(open(out)), json.load(open(parent_path))
-for row in change["benchmarks"]:
-    row["rev"] = "change"
-for row in parent["benchmarks"]:
-    row["rev"] = "parent"
-change["benchmarks"] += parent["benchmarks"]
-change["context"]["parent_executable"] = parent["context"]["executable"]
+  if [ -z "$parent_bin" ]; then
+    echo "== bench_$name"
+    "$bin" --benchmark_format=json --benchmark_min_time="$MIN_TIME" \
+      > "BENCH_$name.json"
+    continue
+  fi
+  echo "== bench_$name, alternating with the parent: $parent_bin"
+  python3 - "$bin" "$parent_bin" "BENCH_$name.json" "$MIN_TIME" <<'PY'
+import json, math, os, re, statistics, subprocess, sys
+change_bin, parent_bin, out, min_time = sys.argv[1:5]
+PAIRS = 5
+env = dict(os.environ, BENCH_REPETITIONS="1")
+docs = {"change": None, "parent": None}
+runs = {"change": {}, "parent": {}}  # rev -> run_name -> [row], in order
+for i in range(PAIRS):
+    order = [("change", change_bin), ("parent", parent_bin)]
+    for rev, path in order if i % 2 == 0 else reversed(order):
+        doc = json.loads(subprocess.run(
+            [path, "--benchmark_format=json",
+             "--benchmark_min_time=" + min_time],
+            env=env, check=True, stdout=subprocess.PIPE, text=True).stdout)
+        docs[rev] = docs[rev] or doc
+        for row in doc["benchmarks"]:
+            if row.get("run_type") == "aggregate":
+                sys.exit("%s ignores BENCH_REPETITIONS=1; build it with this "
+                         "tree's bench/bench_stats.h" % path)
+            runs[rev].setdefault(row["run_name"], []).append(row)
+
+FIXED = {"name", "family_index", "per_family_instance_index", "run_name",
+         "run_type", "repetitions", "repetition_index", "threads",
+         "iterations", "time_unit", "aggregate_name", "aggregate_unit"}
+STATS = [("mean", statistics.mean), ("median", statistics.median),
+         ("stddev", statistics.stdev), ("min", min)]
+
+def aggregate(rows, rev):
+    first = rows[0]
+    run_name = re.sub(r"repeats:1(?=/|$)", "repeats:%d" % len(rows),
+                      first["run_name"])
+    values = [k for k, v in first.items()
+              if k not in FIXED and isinstance(v, (int, float))
+              and not isinstance(v, bool)]
+    for agg, fn in STATS + [("cv", None)]:
+        row = {"name": run_name + "_" + agg,
+               "family_index": first["family_index"],
+               "per_family_instance_index": first["per_family_instance_index"],
+               "run_name": run_name, "run_type": "aggregate",
+               "repetitions": len(rows), "threads": first["threads"],
+               "aggregate_name": agg,
+               "aggregate_unit": "percentage" if agg == "cv" else "time",
+               "iterations": len(rows), "time_unit": first["time_unit"]}
+        for k in values:
+            xs = [r[k] for r in rows]
+            if agg == "cv":
+                mean = statistics.mean(xs)
+                row[k] = statistics.stdev(xs) / mean if mean else math.nan
+            else:
+                row[k] = fn(xs)
+        row["rev"] = rev
+        yield row
+
+result = docs["change"]
+result["benchmarks"] = [row for rev in ("change", "parent")
+                        for rows in runs[rev].values()
+                        for row in aggregate(rows, rev)]
+result["context"]["parent_executable"] = docs["parent"]["context"]["executable"]
+result["context"]["runs"] = ("%d single-repetition pairs, alternating which "
+                             "binary goes first" % PAIRS)
 with open(out, "w") as f:
-    json.dump(change, f, indent=2)
+    json.dump(result, f, indent=2)
     f.write("\n")
 PY
-    rm -f "BENCH_$name.parent.json"
-  fi
 done
 echo "wrote: $(printf 'BENCH_%s.json ' "${SUITES[@]}")"

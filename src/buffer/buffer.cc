@@ -463,11 +463,11 @@ void BufferComponent::MaybeIssueReadahead() {
       hole_queue_.pop_front();
       if (!candidate->is_hole) continue;  // filled or degraded meanwhile
       if (options_.source_cache != nullptr &&
-          options_.source_cache->LookupFill(cache_pin_,
-                                            candidate->hole_id) != nullptr) {
+          options_.source_cache->ProbeFill(cache_pin_, candidate->hole_id)) {
         // Already in memory: a flight would only make navigation wait on
         // the wire for it (ConsumeInflight runs before the cache lookup).
-        // The demand path splices it through TrySpliceFromCache.
+        // The demand path splices it through TrySpliceFromCache, whose
+        // lookup is the one the cache counts.
         continue;
       }
       flight->holes.push_back(candidate->hole_id);

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "core/source_capability.h"
 #include "core/status.h"
 #include "xml/tree.h"
 
@@ -89,28 +90,9 @@ struct FillBudget {
   int64_t fills = -1;
 };
 
-/// What a wrapper can absorb beyond plain LXP, advertised to the plan
-/// optimizer. Mirrors mediator::SourceCapability (mix_mediator does not
-/// link mix_buffer; the service layer converts between the two).
-struct PushdownCapability {
-  enum class ColumnType { kInt, kDouble, kString };
-  struct Column {
-    std::string name;
-    ColumnType type = ColumnType::kString;
-  };
-
-  /// The wrapper's views answer σ (sibling label selection) in one
-  /// exchange — label-chain getDescendants over them is bounded browsable.
-  bool sigma = false;
-  /// The wrapper accepts "sql:SELECT ..." view URIs whose WHERE clause it
-  /// evaluates server-side, so filtered tuples never cross the wire.
-  bool pushdown = false;
-  /// Root label of the exported database document; only set with
-  /// `pushdown`.
-  std::string database;
-  /// table -> columns, for the optimizer's type-legality checks.
-  std::map<std::string, std::vector<Column>> tables;
-};
+/// The capability a wrapper advertises to the plan optimizer, under the
+/// name wrappers override `Capability()` with.
+using PushdownCapability = SourceCapability;
 
 /// The LXP server role, implemented by every wrapper.
 ///

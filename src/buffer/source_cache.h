@@ -12,35 +12,34 @@
 //
 //   (source id, generation, hole/root key)  ->  immutable fragment list
 //
-// Concurrency: lock-striped shards (key-hashed), each an LRU list with a
-// frequency sketch under its own mutex; the global byte account is an
-// atomic. No lock is ever held while touching another shard's lock, so the
-// striping cannot deadlock and scales with readers (TSan-clean by
-// construction).
+// Concurrency: one mutex guards the whole cache — its LRU list and index,
+// its frequency sketch, its byte account, its counters and the sources'
+// generation cells. Keys, hashes and fragment lists are built before the
+// lock is taken, and evicted entries are released after it is dropped, so
+// the critical section is list and map surgery only.
 //
 // Memory: every entry is charged its serialized-size estimate plus fixed
-// overhead against a process-wide byte budget. An insert reserves its bytes
-// (CAS) before the entry becomes reachable, evicting round-robin across
-// shards to make room; an entry larger than the whole budget is not
-// admitted at all. The account — and therefore peak cache bytes — never
-// exceeds the budget at any instant.
+// overhead against a process-wide byte budget. An insert evicts until its
+// bytes fit and links the entry in the same critical section; an entry
+// larger than the whole budget is not admitted at all. The account — and
+// therefore peak cache bytes — never exceeds the budget at any instant.
 //
 // Admission (TinyLFU): cyclic scans larger than the budget are LRU's worst
-// case — every entry is evicted before its next use. So each shard keeps a
+// case — every entry is evicted before its next use. So the cache keeps a
 // count-min sketch of how often its keys were looked up, and an insert
-// that needs room only displaces a victim (a shard's LRU tail) whose
-// estimated frequency is lower than the candidate's. A candidate that is
-// not more frequent is dropped and counted as a reject; a scan then passes
-// through a full cache without displacing the set that keeps being reused.
+// that needs room only displaces a victim (the LRU tail) whose estimated
+// frequency is lower than the candidate's. A candidate that is not more
+// frequent is dropped and counted as a reject; a scan then passes through
+// a full cache without displacing the set that keeps being reused.
 //
 // Freshness (E9 churn semantics): virtual views re-derive from live sources
 // per session. Each source carries a generation counter; sessions pin the
 // generation at build time, and `BumpGeneration` makes every older entry
 // unreachable to new sessions — stale generations are not scrubbed in
 // place (in-flight sessions of the old generation keep their consistent
-// snapshot), they are the first victims whenever an insert needs room: a
-// stale entry goes before any live one, and a publish under a stale pin is
-// dropped.
+// snapshot). The bump moves them behind every live entry, so they are the
+// first victims whenever an insert needs room, and a publish under a stale
+// pin is dropped.
 //
 // What never enters the cache: degraded `#unavailable` splices. The buffer
 // publishes a fill only after it validated and spliced successfully, so a
@@ -49,8 +48,6 @@
 #ifndef MIX_BUFFER_SOURCE_CACHE_H_
 #define MIX_BUFFER_SOURCE_CACHE_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -66,8 +63,8 @@ namespace mix::buffer {
 class SourceCache {
  public:
   struct Options {
-    /// Global byte budget across all shards; <= 0 disables the cache
-    /// (lookups miss, publishes are dropped).
+    /// Byte budget of the whole cache; <= 0 disables the cache (lookups
+    /// miss, publishes are dropped).
     int64_t byte_budget = int64_t{64} << 20;
   };
 
@@ -82,12 +79,13 @@ class SourceCache {
 
   /// A session's hold on one source: the generation it reads and publishes
   /// under, and the source's live-generation cell, resolved once so that a
-  /// publish takes no lock beyond its shard's. Entries published under a
-  /// pin go stale once the cell moves past `generation`.
+  /// publish does not look the source up again. Entries published under a
+  /// pin go stale once the cell moves past `generation`. The cell is read
+  /// only under the cache's mutex.
   struct Pin {
     std::string source;
     int64_t generation = 0;
-    const std::atomic<int64_t>* live = nullptr;  ///< never null from PinSource
+    const int64_t* live = nullptr;  ///< never null from PinSource
   };
 
   /// Pins `source` at `generation`: normally the `Generation` read when the
@@ -105,6 +103,12 @@ class SourceCache {
   std::shared_ptr<const FragmentList> LookupFill(const Pin& pin,
                                                  const std::string& hole_id);
 
+  /// Whether `hole_id` is cached: exactly a `LookupFill`, sketch and LRU
+  /// included, except that it counts neither a hit nor a miss. For a
+  /// caller that only decides whether to fetch, and looks the hole up
+  /// again when it splices it.
+  bool ProbeFill(const Pin& pin, const std::string& hole_id);
+
   /// Publishes a validated fill. First publish wins (concurrent sessions
   /// racing to publish the same hole produce identical lists — the fills
   /// are deterministic — so dropping the loser is free).
@@ -117,13 +121,6 @@ class SourceCache {
   void PublishRoot(const Pin& pin, const std::string& uri,
                    const std::string& root_id);
 
-  /// Per-shard traffic, for spotting hot shards or skewed key hashing.
-  struct ShardStats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t entries = 0;
-    int64_t bytes = 0;
-  };
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;
@@ -131,30 +128,27 @@ class SourceCache {
     int64_t evictions = 0;
     /// Publishes dropped without insertion: a single entry exceeded the
     /// whole budget, the candidate was not more frequent than the victim
-    /// it would displace, it was published under a stale pin, or
-    /// concurrent inserts had the budget fully reserved.
+    /// it would displace, or it was published under a stale pin.
     int64_t rejects = 0;
     int64_t bytes = 0;
     int64_t entries = 0;
-    /// Byte high-water mark of the reservation account. Never exceeds the
-    /// budget (reservations are bounded by construction).
+    /// Byte high-water mark of the account. Never exceeds the budget.
     int64_t peak_bytes = 0;
-    std::vector<ShardStats> shards;  ///< one per stripe, shard-ordered
   };
   Stats stats() const;
 
-  int64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
+  int64_t bytes() const;
   int64_t byte_budget() const { return options_.byte_budget; }
 
  private:
-  /// TinyLFU frequency estimate of one shard's keys: a count-min sketch (4
+  /// TinyLFU frequency estimate of the cache's keys: a count-min sketch (4
   /// rows of counters saturating at 15) behind a doorkeeper bit array. A
   /// key's first sighting in a sample period only sets its doorkeeper bit;
   /// later sightings increment its counters. After 10 x width sightings
   /// every counter halves and the doorkeeper clears, so estimates follow
-  /// recent popularity. The width is a power of two grown with the shard's
-  /// entry count, never from the byte budget; doubling copies each row into
-  /// both halves, which leaves every estimate unchanged.
+  /// recent popularity. The width is a power of two grown with the entry
+  /// count, never from the byte budget; doubling copies each row into both
+  /// halves, which leaves every estimate unchanged.
   class FrequencySketch {
    public:
     void Touch(uint64_t hash);
@@ -164,7 +158,7 @@ class SourceCache {
 
    private:
     static constexpr int kRows = 4;
-    /// A small shard starts at 64 counters per row, so its few keys rarely
+    /// A small cache starts at 64 counters per row, so its few keys rarely
     /// share one: a tie between candidate and victim then means equal use,
     /// not a collision.
     static constexpr size_t kMinWidth = 64;
@@ -188,82 +182,50 @@ class SourceCache {
     uint64_t hash = 0;  ///< HashKey of the entry's key
     int64_t generation = 0;
     /// The source's live generation; the entry is stale once it moved on.
-    const std::atomic<int64_t>* source_generation = nullptr;
+    const int64_t* source_generation = nullptr;
   };
   using Lru = std::list<std::pair<std::string, Entry>>;
-  struct Shard {
-    mutable std::mutex mu;
-    /// Front = most recently used. After `SweepStale`, every stale entry
-    /// sits behind every live one.
-    Lru lru;
-    std::unordered_map<std::string, Lru::iterator> index;
-    FrequencySketch sketch;
-    /// `bumps_` as of the last `SweepStale`.
-    uint64_t swept_bumps = 0;
-    // Per-shard accounting, guarded by `mu` (plain ints, not atomics).
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t bytes = 0;
-  };
 
   static std::string Key(const Pin& pin, char kind, const std::string& id);
   static uint64_t HashKey(const std::string& key);
+  /// Caller holds `mu_`.
   static bool Stale(const Entry& entry) {
-    return entry.generation <
-           entry.source_generation->load(std::memory_order_relaxed);
+    return entry.generation < *entry.source_generation;
   }
-  Shard& ShardAt(uint64_t hash) { return shards_[hash % kShards]; }
   /// The live-generation cell of `source`, created at 0 on first use.
-  /// Caller holds `gen_mu_`.
-  std::atomic<int64_t>* GenerationCell(const std::string& source);
-  /// Looks `key` up in `shard`, whose `mu` the caller holds: counts the
-  /// sighting and the hit or miss, and moves a live hit to the LRU front.
-  const Entry* Lookup(Shard& shard, const std::string& key, uint64_t hash);
-  /// Inserts `entry`, published under `pin`, as `key` into its shard
-  /// (first publish wins). The entry's bytes are reserved
-  /// against the budget BEFORE the entry becomes reachable, evicting
-  /// victims round-robin across shards to make room — the byte account,
-  /// and therefore peak cache memory, never exceeds the budget at any
-  /// instant.
+  /// Caller holds `mu_`.
+  int64_t* GenerationCell(const std::string& source);
+  /// Looks `key` up; the caller holds `mu_`. Counts the sighting, and the
+  /// hit or miss when `count`, and moves a live hit to the LRU front.
+  const Entry* Lookup(const std::string& key, uint64_t hash, bool count);
+  /// Inserts `entry`, published under `pin`, as `key` (first publish
+  /// wins), evicting until its bytes fit the budget: the byte account, and
+  /// therefore peak cache memory, never exceeds the budget at any instant.
   void Insert(const Pin& pin, const std::string& key, Entry entry);
-  /// Moves the shard's stale entries behind its live ones, once per
-  /// generation bump. Caller holds `shard.mu`.
-  void SweepStale(Shard& shard);
-  /// Drops one entry to make room for a candidate of estimated frequency
-  /// `candidate`: a stale entry from any shard if there is one, else the
-  /// LRU tail of the next non-empty shard (round-robin) — but only when the
-  /// candidate is more frequent than that tail. False when nothing was
-  /// dropped: the candidate lost, or every shard is empty.
-  bool EvictOne(int candidate);
+  /// Moves the LRU tail into `evicted` to make room for a candidate of
+  /// estimated frequency `candidate`: a stale tail always, a live one only
+  /// when the candidate is more frequent. False when nothing was dropped:
+  /// the candidate lost, or the cache is empty. Caller holds `mu_`.
+  bool EvictOne(int candidate, Lru* evicted);
 
-  /// Lock stripes: enough that concurrent sessions rarely contend, few
-  /// enough that the per-shard LRU stays close to a global one.
-  static constexpr size_t kShards = 8;
+  const Options options_;
 
-  Options options_;
-  std::array<Shard, kShards> shards_;
-  std::atomic<int64_t> bytes_{0};
-  /// High-water mark of `bytes_` (CAS-max on every reservation).
-  std::atomic<int64_t> peak_bytes_{0};
-  std::atomic<int64_t> entries_{0};
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> misses_{0};
-  std::atomic<int64_t> insertions_{0};
-  std::atomic<int64_t> evictions_{0};
-  std::atomic<int64_t> rejects_{0};
-  /// Round-robin eviction cursor (relieves pressure fairly across shards).
-  std::atomic<uint64_t> evict_cursor_{0};
-  /// Generation bumps so far, of any source: a shard whose `swept_bumps`
-  /// lags may hold entries that went stale since its last sweep.
-  std::atomic<uint64_t> bumps_{0};
-  /// `bumps_` as of the last full stale pass of `EvictOne` that found no
-  /// stale entry in any shard; while they are equal, eviction skips it.
-  std::atomic<uint64_t> clean_bumps_{0};
-
-  std::mutex gen_mu_;
-  /// Cells are never erased, so entries may point at them.
-  std::unordered_map<std::string, std::unique_ptr<std::atomic<int64_t>>>
-      generations_;
+  mutable std::mutex mu_;
+  /// Front = most recently used. Every stale entry sits behind every live
+  /// one: a bump moves its source's entries to the back, stale hits do not
+  /// move, and only publishes under a live pin are inserted.
+  Lru lru_;
+  std::unordered_map<std::string, Lru::iterator> index_;
+  FrequencySketch sketch_;
+  int64_t bytes_ = 0;
+  int64_t peak_bytes_ = 0;
+  int64_t hits_ = 0;
+  int64_t misses_ = 0;
+  int64_t insertions_ = 0;
+  int64_t evictions_ = 0;
+  int64_t rejects_ = 0;
+  /// Cells are never erased, so entries and pins may point at them.
+  std::unordered_map<std::string, std::unique_ptr<int64_t>> generations_;
 };
 
 }  // namespace mix::buffer

@@ -25,36 +25,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/source_capability.h"
 #include "mediator/browsability.h"
 #include "mediator/plan.h"
 
 namespace mix::mediator {
-
-/// Column types a pushdown-capable source exposes. Mirrors rdb::Type but
-/// lives here because mix_mediator does not link mix_rdb; the service layer
-/// converts from the wrapper's capability struct (buffer::PushdownCapability).
-enum class ColumnType { kInt, kDouble, kString };
-
-/// What the wrapper behind a registered source can absorb. Queried per
-/// source (ISSUE 6 satellite: capability is not a global bool), so a plan
-/// mixing relational and CSV legs only rewrites the legs that honor it.
-struct SourceCapability {
-  /// Source answers σ (sibling label selection) natively: label-chain
-  /// getDescendants over it is bounded browsable.
-  bool sigma = false;
-  /// Source accepts a "sql:SELECT ..." view URI: comparison predicates can
-  /// be compiled into the view so filtered tuples never cross the wire.
-  bool pushdown = false;
-  /// Root label of the exported database document (the <db> in
-  /// db.<table>.row paths). Only meaningful when `pushdown`.
-  std::string database;
-  struct Column {
-    std::string name;
-    ColumnType type = ColumnType::kString;
-  };
-  /// table name -> columns, for pushdown type-legality checks.
-  std::map<std::string, std::vector<Column>> tables;
-};
 
 /// The facts AnalyzeIr records for one plan node.
 struct Annotation {

@@ -14,18 +14,6 @@ std::string PassCounters(
   return out;
 }
 
-std::string ShardCounters(
-    const std::vector<ServiceMetricsSnapshot::CacheShard>& shards) {
-  std::string out;
-  for (size_t i = 0; i < shards.size(); ++i) {
-    if (!out.empty()) out += ' ';
-    out += std::to_string(i) + "=" + std::to_string(shards[i].hits) + "/" +
-           std::to_string(shards[i].misses) + "/" +
-           std::to_string(shards[i].bytes);
-  }
-  return out;
-}
-
 }  // namespace
 
 int LatencyHistogram::BucketOf(int64_t ns) {
@@ -134,7 +122,6 @@ std::string ServiceMetricsSnapshot::ToString() const {
          " bytes=" + std::to_string(cache_bytes) +
          " peak_bytes=" + std::to_string(cache_peak_bytes) +
          " entries=" + std::to_string(cache_entries) + "}" +
-         " shards{" + ShardCounters(cache_shards) + "}" +
          " plans{hits=" + std::to_string(plan_cache_hits) +
          " misses=" + std::to_string(plan_cache_misses) +
          " optimized=" + std::to_string(plans_optimized) +

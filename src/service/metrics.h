@@ -159,14 +159,6 @@ struct ServiceMetricsSnapshot {
   int64_t cache_entries = 0;
   /// Byte high-water mark the fragment cache ever reached.
   int64_t cache_peak_bytes = 0;
-  /// Per-shard (hits, misses, bytes) of the fragment cache, shard-ordered
-  /// — spotting a hot shard or a skewed key distribution at a glance.
-  struct CacheShard {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t bytes = 0;
-  };
-  std::vector<CacheShard> cache_shards;
   // Compiled-plan cache (session-open path).
   int64_t plan_cache_hits = 0;
   int64_t plan_cache_misses = 0;

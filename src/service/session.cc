@@ -70,7 +70,7 @@ void SessionEnvironment::RegisterShared(std::string name, Navigable* nav) {
 }
 
 void SessionEnvironment::RegisterShared(std::string name, Navigable* nav,
-                                        mediator::SourceCapability capability) {
+                                        SourceCapability capability) {
   shared_.push_back(
       SharedSource{std::move(name), nav, std::move(capability)});
 }

@@ -66,7 +66,7 @@ class SessionEnvironment {
   /// ignored; wrapper-backed sources advertise theirs via
   /// LxpWrapper::Capability() instead.
   void RegisterShared(std::string name, Navigable* nav,
-                      mediator::SourceCapability capability);
+                      SourceCapability capability);
 
   /// A wrapper-backed source: every session that opens gets its own wrapper
   /// instance (from `factory`), its own BufferComponent and its own
@@ -130,7 +130,7 @@ class SessionEnvironment {
   struct SharedSource {
     std::string name;
     Navigable* nav;
-    mediator::SourceCapability capability;
+    SourceCapability capability;
   };
   struct WrapperSource {
     std::string name;

@@ -24,18 +24,18 @@ buffer::PushdownCapability RelationalLxpWrapper::Capability() const {
   cap.database = db_->name();
   for (const std::string& name : db_->table_names()) {
     const rdb::Table* table = db_->GetTable(name);
-    std::vector<buffer::PushdownCapability::Column> cols;
+    std::vector<SourceCapability::Column> cols;
     for (const rdb::Column& c : table->schema().columns()) {
-      buffer::PushdownCapability::ColumnType type;
+      ColumnType type;
       switch (c.type) {
         case rdb::Type::kInt:
-          type = buffer::PushdownCapability::ColumnType::kInt;
+          type = ColumnType::kInt;
           break;
         case rdb::Type::kDouble:
-          type = buffer::PushdownCapability::ColumnType::kDouble;
+          type = ColumnType::kDouble;
           break;
         default:
-          type = buffer::PushdownCapability::ColumnType::kString;
+          type = ColumnType::kString;
           break;
       }
       cols.push_back({c.name, type});

@@ -729,6 +729,9 @@ TEST(ChainReadaheadTest, CachedHolesGetNoFlightAndTheWindowRefillsAfterAHit) {
   // One counted lookup per hole that missed: the root id, the root hole
   // and the nine holes that got a flight.
   EXPECT_EQ(st.cache_misses, 11);
+  // The readahead probe that skipped c1..c9 counts no hit: the cache saw
+  // one per spliced hole.
+  EXPECT_EQ(cache.stats().hits, st.cache_hits);
   EXPECT_EQ(st.readahead_hits, 9);
   EXPECT_EQ(st.readahead_fills, kChainFills - 9);
   EXPECT_EQ(st.readahead_fallbacks, 0);

@@ -65,26 +65,6 @@ TEST(SourceCacheTest, RootEntriesRoundTrip) {
   EXPECT_EQ(cache.LookupFill(homes, "homes.xml"), nullptr);
 }
 
-/// `n` hole ids of equal length whose cache keys (source "s", generation 0)
-/// land in one lock stripe, so that stripe's LRU order is exact and is the
-/// cache's eviction order (eviction skips empty stripes).
-std::vector<std::string> SameShardHoleIds(size_t n) {
-  std::vector<std::string> ids;
-  size_t shard = 0;
-  for (int i = 100; ids.size() < n && i < 1000; ++i) {
-    const std::string id = "k" + std::to_string(i);
-    SourceCache probe;
-    probe.PublishFill(probe.PinSource("s", 0), id, OneElement("vv"));
-    const std::vector<SourceCache::ShardStats> shards = probe.stats().shards;
-    size_t at = 0;
-    while (shards[at].entries == 0) ++at;
-    if (ids.empty()) shard = at;
-    if (at == shard) ids.push_back(id);
-  }
-  EXPECT_EQ(ids.size(), n);
-  return ids;
-}
-
 /// The charge of one fill entry `id` of source `source` holding
 /// OneElement("vv").
 int64_t EntryCharge(const std::string& source, const std::string& id) {
@@ -103,14 +83,12 @@ bool LookupOrPublish(SourceCache* cache, const SourceCache::Pin& pin,
 }
 
 TEST(SourceCacheTest, ByteBudgetNeverExceededAndLruEvicts) {
-  // Five keys in one stripe, with equal-length keys and payloads.
-  const std::vector<std::string> ids = SameShardHoleIds(5);
-  ASSERT_EQ(ids.size(), 5u);
-  const std::string& a = ids[0];
-  const std::string& b = ids[1];
-  const std::string& c = ids[2];
-  const std::string& d = ids[3];
-  const std::string& e = ids[4];
+  // Equal-length keys and payloads.
+  const std::string a = "k100";
+  const std::string b = "k101";
+  const std::string c = "k102";
+  const std::string d = "k103";
+  const std::string e = "k104";
   // Budget exactly three entries.
   const int64_t per_entry = EntryCharge("s", a);
   ASSERT_GT(per_entry, 0);
@@ -148,6 +126,35 @@ TEST(SourceCacheTest, ByteBudgetNeverExceededAndLruEvicts) {
   EXPECT_EQ(stats.evictions, 1);
   EXPECT_EQ(cache.LookupFill(s, e), nullptr);
   EXPECT_NE(cache.LookupFill(s, c), nullptr);
+}
+
+TEST(SourceCacheTest, EvictionTakesTheGlobalLeastRecentlyUsedEntry) {
+  // Eight keys whose hashes fall in four residues mod 8 — four of the
+  // eight lock stripes a striped cache would split them into, each with its
+  // own LRU tail — fill a budget of eight entries, in key order, twice.
+  auto key = [](int i) {
+    return std::string("h:") + (i < 10 ? "0" : "") + std::to_string(i);
+  };
+  const int64_t per_entry = EntryCharge("s", key(0));
+  SourceCache cache(SourceCache::Options{8 * per_entry});
+  const SourceCache::Pin s = cache.PinSource("s", 0);
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 8; ++i) LookupOrPublish(&cache, s, key(i));
+  }
+  ASSERT_EQ(cache.stats().entries, 8);
+  // Three candidates, each wanted more often than any cached key, evict
+  // the three least recently used entries in order: h:00, h:01, h:02.
+  for (int i = 8; i < 11; ++i) {
+    for (int miss = 0; miss < 3; ++miss) {
+      ASSERT_EQ(cache.LookupFill(s, key(i)), nullptr);
+    }
+    cache.PublishFill(s, key(i), OneElement("vv"));
+    EXPECT_EQ(cache.stats().evictions, i - 7);
+  }
+  for (int i = 0; i < 11; ++i) {
+    EXPECT_EQ(cache.LookupFill(s, key(i)) != nullptr, i >= 3)
+        << "key " << key(i);
+  }
 }
 
 TEST(SourceCacheTest, HotSetSurvivesCyclicScanLargerThanBudget) {
@@ -268,12 +275,10 @@ TEST(SourceCacheTest, DisabledCacheDropsEverything) {
 }
 
 TEST(SourceCacheTest, DuplicatePublishRaceLeaksNoBytes) {
-  // Satellite check for the reserve-then-insert protocol: PublishFill
-  // reserves its bytes (CAS on the global account) BEFORE taking the shard
-  // lock, and first-publish-wins means every concurrent duplicate loses the
-  // insert. A loser that failed to release its reservation would leak
-  // account bytes on every race — invisible to entry counts, fatal to the
-  // budget (the account creeps up until all inserts are rejected).
+  // First publish wins: every concurrent duplicate loses the insert. A
+  // loser that charged its bytes anyway would leak account bytes on every
+  // race — invisible to entry counts, fatal to the budget (the account
+  // creeps up until all inserts are rejected).
   //
   // Baseline: one entry's exact charge (key width fixed so all keys cost
   // the same).
@@ -312,10 +317,7 @@ TEST(SourceCacheTest, DuplicatePublishRaceLeaksNoBytes) {
   EXPECT_EQ(stats.bytes, kKeys * per_entry);
   EXPECT_EQ(stats.insertions, kKeys);
   EXPECT_EQ(stats.evictions, 0);
-  // The global reservation account agrees with what the shards hold.
-  int64_t shard_sum = 0;
-  for (const auto& ss : stats.shards) shard_sum += ss.bytes;
-  EXPECT_EQ(stats.bytes, shard_sum);
+  EXPECT_EQ(stats.insertions - stats.evictions, stats.entries);
   for (int i = 0; i < kKeys; ++i) {
     EXPECT_NE(cache.LookupFill(s, key(i)), nullptr);
   }
@@ -574,18 +576,24 @@ TEST(SourceCacheTest, ConcurrentAdmissionAndStaleEvictionKeepTheAccount) {
   SourceCache::Stats stats = cache.stats();
   EXPECT_LE(stats.bytes, kBudget);
   EXPECT_LE(stats.peak_bytes, kBudget);
-  int64_t shard_bytes = 0;
-  int64_t shard_entries = 0;
-  for (const auto& ss : stats.shards) {
-    shard_bytes += ss.bytes;
-    shard_entries += ss.entries;
-  }
-  EXPECT_EQ(stats.bytes, shard_bytes);
-  EXPECT_EQ(stats.entries, shard_entries);
   EXPECT_EQ(stats.insertions - stats.evictions, stats.entries);
   EXPECT_GT(stats.evictions, 0);
   EXPECT_GT(stats.rejects, 0);
   EXPECT_GT(stats.hits, 0);
+  // Every surviving entry is reachable: a lookup of every key any session
+  // could have published finds exactly `entries` of them.
+  int64_t reachable = 0;
+  for (const std::string source : {"s0", "s1"}) {
+    for (int64_t g = 0; g <= cache.Generation(source); ++g) {
+      const SourceCache::Pin pin = cache.PinSource(source, g);
+      for (int k = 0; k < 96; ++k) {
+        const std::string id =
+            std::string("h:") + (k < 10 ? "0" : "") + std::to_string(k);
+        reachable += cache.LookupFill(pin, id) != nullptr ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_EQ(reachable, stats.entries);
 }
 
 }  // namespace
