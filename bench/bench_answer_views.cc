@@ -274,7 +274,7 @@ void BM_ViewMatchCost(benchmark::State& state) {
   xml::DocNavigable answer_nav(&answer);
   std::vector<SubtreeEntry> entries;
   answer_nav.FetchSubtree(answer_nav.Root(), -1, &entries);
-  cache.Publish(shape, entries, cache.PinGenerations(shape.sources));
+  cache.Publish(shape, entries, cache.generations().PinSources(shape.sources));
 
   int64_t hits = 0;
   for (auto _ : state) {

@@ -363,8 +363,8 @@ class BufferComponent : public Navigable {
   Options options_;
   int64_t instance_;
   net::RetryPolicy retry_;
-  /// (cache_source, cache_generation) with the source's live-generation
-  /// cell, resolved once; unused without a source cache.
+  /// The pin of (cache_source, cache_generation); unused without a source
+  /// cache.
   SourceCache::Pin cache_pin_;
 
   std::deque<BNode> arena_;

@@ -241,164 +241,98 @@ ViewShape ComputeViewShape(const PlanNode& raw_plan) {
   return shape;
 }
 
+AnswerViewCache::AnswerViewCache(Options options,
+                                 GenerationRegistry* generations)
+    // Views are pure LRU, as their tests pin down.
+    : core_(options.byte_budget, Admission::kLru, generations) {}
+
 AnswerViewCache::Match AnswerViewCache::TryMatch(const ViewShape& shape) {
   Match m;
   if (!enabled()) return m;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!shape.valid) {
-    ++misses_;
-    ++rejects_["shape"];
-    return m;
-  }
-  auto range = index_.equal_range(shape.base_key);
-  if (range.first == range.second) {
-    ++misses_;
-    ++rejects_["absent"];
-    return m;
-  }
-  bool saw_pred_mismatch = false;
-  for (auto it = range.first; it != range.second; ++it) {
-    LruList::iterator entry = it->second;
-    const AnswerSnapshot& snap = **entry;
-    if (!GenerationsCurrentLocked(snap)) continue;
-    if (SamePredSet(snap.shape.preds, shape.preds)) {
-      m.snapshot = *entry;
+  bool seen = false;       // some entry shares the base key
+  bool predicate = false;  // a live one's predicates do not subsume
+  auto match = [&](const std::shared_ptr<const AnswerSnapshot>& entry,
+                   bool stale) {
+    seen = true;
+    if (stale || !shape.valid) return false;
+    const ViewShape& cached = entry->shape;
+    if (SamePredSet(cached.preds, shape.preds)) {
       m.plan = BuildDocServingPlan(shape);
-    } else if (shape.factored && snap.shape.factored &&
-               AllImplied(snap.shape.preds, shape.preds)) {
-      m.snapshot = *entry;
+    } else if (shape.factored && cached.factored &&
+               AllImplied(cached.preds, shape.preds)) {
       m.plan = BuildChildrenServingPlan(shape);
     } else {
-      saw_pred_mismatch = true;
-      continue;
+      predicate = true;
+      return false;
     }
-    lru_.splice(lru_.begin(), lru_, entry);
-    ++hits_;
-    return m;
+    return true;
+  };
+  if (!core_.Find(shape.base_key, /*count=*/true, match, &m.snapshot)) {
+    Reject(!shape.valid ? "shape"
+           : !seen      ? "absent"
+           : predicate  ? "predicate"
+                        : "stale");
   }
-  ++misses_;
-  ++rejects_[saw_pred_mismatch ? "predicate" : "stale"];
   return m;
 }
 
-void AnswerViewCache::Publish(
-    const ViewShape& shape, const std::vector<SubtreeEntry>& entries,
-    const std::map<std::string, int64_t>& pinned_generations) {
+void AnswerViewCache::Publish(const ViewShape& shape,
+                              const std::vector<SubtreeEntry>& entries,
+                              const GenerationRegistry::Pins& pins) {
   if (!enabled()) return;
-  auto reject = [this](const char* reason) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++rejects_[reason];
-  };
-  if (!shape.valid) return reject("shape");
+  if (!shape.valid) return Reject("shape");
   int64_t bytes = 0;
   for (const SubtreeEntry& e : entries) {
-    if (e.truncated) return reject("truncated");
-    if (e.label.name() == kUnavailableLabel) return reject("degraded");
+    if (e.truncated) return Reject("truncated");
+    if (e.label.name() == kUnavailableLabel) return Reject("degraded");
     bytes += static_cast<int64_t>(e.label.name().size()) + kViewNodeOverheadBytes;
   }
   if (shape.factored && !entries.empty() &&
       entries[0].label.name() != shape.root_label) {
-    return reject("shape");
+    return Reject("shape");
   }
-  if (bytes > options_.byte_budget) return reject("budget");
+  if (bytes > core_.budget()) return Reject("budget");
 
   // Build the snapshot outside the lock; a losing duplicate is dropped.
   auto snap = std::make_shared<AnswerSnapshot>();
   snap->doc = std::make_unique<xml::Document>();
   xml::Node* root = xml::BuildFromSubtreeEntries(entries, snap->doc.get());
-  if (root == nullptr) return reject("malformed");
+  if (root == nullptr) return Reject("malformed");
   snap->doc->set_root(root);
   snap->nav = std::make_unique<xml::DocNavigable>(snap->doc.get());
-  snap->bytes = bytes;
   snap->shape = shape;
-  snap->generations = pinned_generations;
 
-  std::lock_guard<std::mutex> lock(mu_);
+  // The view is stamped with the donor's pins of the sources it reads.
+  std::vector<GenerationRegistry::Stamp> stamps;
   for (const std::string& src : shape.sources) {
-    auto pinned = pinned_generations.find(src);
-    auto current = generations_.find(src);
-    int64_t cur = current == generations_.end() ? 0 : current->second;
-    if (pinned == pinned_generations.end() || pinned->second != cur) {
-      ++rejects_["stale"];
-      return;
-    }
+    const GenerationRegistry::Pin* pin = GenerationRegistry::Find(pins, src);
+    if (pin == nullptr) return Reject("stale");
+    stamps.push_back(pin->stamp);
   }
-  auto range = index_.equal_range(shape.base_key);
-  for (auto it = range.first; it != range.second; ++it) {
-    if (SamePredSet((**it->second).shape.preds, shape.preds)) {
-      ++rejects_["duplicate"];
-      return;
-    }
-  }
-  while (bytes_ + bytes > options_.byte_budget && !lru_.empty()) {
-    DropLocked(std::prev(lru_.end()));
-    ++evictions_;
-  }
-  lru_.push_front(std::move(snap));
-  index_.emplace(shape.base_key, lru_.begin());
-  bytes_ += bytes;
-  ++publishes_;
-}
-
-std::map<std::string, int64_t> AnswerViewCache::PinGenerations(
-    const std::vector<std::string>& sources) const {
-  std::map<std::string, int64_t> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const std::string& src : sources) {
-    auto it = generations_.find(src);
-    out[src] = it == generations_.end() ? 0 : it->second;
-  }
-  return out;
-}
-
-void AnswerViewCache::InvalidateSource(const std::string& source) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++generations_[source];
-  ++invalidations_;
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    auto next = std::next(it);
-    const std::vector<std::string>& deps = (**it).shape.sources;
-    if (std::find(deps.begin(), deps.end(), source) != deps.end()) {
-      DropLocked(it);
-    }
-    it = next;
-  }
+  using Outcome = decltype(core_)::Outcome;
+  const Outcome outcome = core_.Insert(
+      shape.base_key, bytes, stamps,
+      [&shape](const std::shared_ptr<const AnswerSnapshot>& e) {
+        return SamePredSet(e->shape.preds, shape.preds);
+      },
+      [&snap] { return std::move(snap); });
+  if (outcome == Outcome::kStale) Reject("stale");
+  if (outcome == Outcome::kDuplicate) Reject("duplicate");
 }
 
 AnswerViewCache::Stats AnswerViewCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const CacheStats core = core_.stats();
   Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.publishes = publishes_;
-  s.evictions = evictions_;
-  s.invalidations = invalidations_;
-  s.bytes = bytes_;
-  s.entries = static_cast<int64_t>(lru_.size());
+  s.hits = core.hits;
+  s.misses = core.misses;
+  s.publishes = core.insertions;
+  s.evictions = core.evictions;
+  s.invalidations = core_.generations().bumps();
+  s.bytes = core.bytes;
+  s.entries = core.entries;
+  std::lock_guard<std::mutex> lock(rejects_mu_);
   s.rejects = rejects_;
   return s;
-}
-
-bool AnswerViewCache::GenerationsCurrentLocked(
-    const AnswerSnapshot& snap) const {
-  for (const auto& [src, gen] : snap.generations) {
-    auto it = generations_.find(src);
-    int64_t cur = it == generations_.end() ? 0 : it->second;
-    if (cur != gen) return false;
-  }
-  return true;
-}
-
-void AnswerViewCache::DropLocked(LruList::iterator it) {
-  auto range = index_.equal_range((**it).shape.base_key);
-  for (auto idx = range.first; idx != range.second; ++idx) {
-    if (idx->second == it) {
-      index_.erase(idx);
-      break;
-    }
-  }
-  bytes_ -= (**it).bytes;
-  lru_.erase(it);
 }
 
 }  // namespace mix::mediator

@@ -30,7 +30,6 @@
 #define MIX_MEDIATOR_ANSWER_VIEW_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -38,6 +37,7 @@
 #include <vector>
 
 #include "algebra/binding_stream.h"
+#include "core/bounded_cache.h"
 #include "core/navigable.h"
 #include "mediator/plan.h"
 #include "xml/doc_navigable.h"
@@ -102,11 +102,7 @@ bool PredicateImplies(const ViewPredicate& have, const ViewPredicate& want);
 struct AnswerSnapshot {
   std::unique_ptr<xml::Document> doc;
   std::unique_ptr<xml::DocNavigable> nav;
-  int64_t bytes = 0;
   ViewShape shape;
-  /// Answer-view generations of shape.sources pinned when the donor
-  /// session opened; a bump of any of them invalidates the snapshot.
-  std::map<std::string, int64_t> generations;
 };
 
 class AnswerViewCache {
@@ -124,39 +120,40 @@ class AnswerViewCache {
     PlanPtr plan;
   };
 
-  explicit AnswerViewCache(Options options) : options_(options) {}
+  /// `generations` (not owned): the registry the service's tiers share.
+  explicit AnswerViewCache(Options options,
+                           GenerationRegistry* generations = nullptr);
   AnswerViewCache(const AnswerViewCache&) = delete;
   AnswerViewCache& operator=(const AnswerViewCache&) = delete;
 
-  bool enabled() const { return options_.byte_budget > 0; }
+  bool enabled() const { return core_.enabled(); }
+  GenerationRegistry& generations() { return core_.generations(); }
 
-  /// Tests `shape` against the cached descriptors (MRU first per base
-  /// key). Counts view_hits/view_misses and subsumption rejects.
+  /// Tests `shape` against the live cached descriptors (oldest first per
+  /// base key). Counts view_hits/view_misses and subsumption rejects.
   Match TryMatch(const ViewShape& shape);
 
-  /// Publishes a navigation-complete answer export under `shape`.
-  /// Rejects (with a counted reason, never an abort) degraded or
-  /// truncated exports, stale generation pins, duplicates, and
-  /// over-budget snapshots; evicts LRU entries to fit the byte budget.
+  /// Publishes a navigation-complete answer export under `shape`, derived
+  /// under the donor session's `pins`. Rejects (with a counted reason,
+  /// never an abort) degraded or truncated exports, stale or missing pins,
+  /// duplicates, and over-budget snapshots; evicts LRU entries to fit the
+  /// byte budget.
   void Publish(const ViewShape& shape,
                const std::vector<SubtreeEntry>& entries,
-               const std::map<std::string, int64_t>& pinned_generations);
+               const GenerationRegistry::Pins& pins);
 
-  /// Current answer-view generations for `sources` (for pinning at
-  /// session open; absent sources are generation 0).
-  std::map<std::string, int64_t> PinGenerations(
-      const std::vector<std::string>& sources) const;
-
-  /// Freshness: bumps the source's generation and eagerly drops every
-  /// view whose descriptor depends on it.
-  void InvalidateSource(const std::string& source);
+  /// Freshness: bumps the source's generation in the registry; no view
+  /// derived from the old generation matches again.
+  void InvalidateSource(const std::string& source) {
+    core_.generations().Bump(source);
+  }
 
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;
     int64_t publishes = 0;
-    int64_t evictions = 0;
-    int64_t invalidations = 0;
+    int64_t evictions = 0;  ///< to make room, or dropped stale by a bump
+    int64_t invalidations = 0;  ///< registry bumps, over all sources
     int64_t bytes = 0;
     int64_t entries = 0;
     /// Match + publish reject counts by reason ("predicate", "absent",
@@ -166,22 +163,14 @@ class AnswerViewCache {
   Stats stats() const;
 
  private:
-  using LruList = std::list<std::shared_ptr<const AnswerSnapshot>>;
+  void Reject(const char* reason) {
+    std::lock_guard<std::mutex> lock(rejects_mu_);
+    ++rejects_[reason];
+  }
 
-  bool GenerationsCurrentLocked(const AnswerSnapshot& snap) const;
-  void DropLocked(LruList::iterator it);
-
-  Options options_;
-  mutable std::mutex mu_;
-  LruList lru_;  ///< front = most recently used
-  std::multimap<std::string, LruList::iterator> index_;  ///< by base_key
-  std::map<std::string, int64_t> generations_;
-  int64_t bytes_ = 0;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
-  int64_t publishes_ = 0;
-  int64_t evictions_ = 0;
-  int64_t invalidations_ = 0;
+  /// Keyed by base_key; a key's entries are its predicate variants.
+  BoundedCache<std::shared_ptr<const AnswerSnapshot>> core_;
+  mutable std::mutex rejects_mu_;
   std::map<std::string, int64_t> rejects_;
 };
 

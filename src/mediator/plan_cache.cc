@@ -40,7 +40,9 @@ std::string CanonicalXmasKey(const std::string& xmas_text) {
 
 PlanCache::PlanCache(Options options)
     : options_(std::move(options)),
-      fingerprint_(passes::OptimizerFingerprint(options_.optimizer)) {}
+      fingerprint_(passes::OptimizerFingerprint(options_.optimizer)),
+      // Plans are pure LRU, each costing 1; no generation makes one stale.
+      core_(options_.capacity, Admission::kLru, /*generations=*/nullptr) {}
 
 Result<std::shared_ptr<const PlanNode>> PlanCache::GetOrCompile(
     const std::string& xmas_text) {
@@ -55,17 +57,9 @@ Result<std::shared_ptr<const PlanCache::Compiled>> PlanCache::GetOrCompileEntry(
   // config changes (capability registration) can never serve a shape
   // produced under the old config.
   const std::string key = fingerprint_ + '\n' + CanonicalXmasKey(xmas_text);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      ++hits_;
-      return it->second->second;
-    }
-    // One miss per compile, also with the cache off (capacity <= 0).
-    ++misses_;
-  }
+  // One miss per compile, also with the cache off (capacity <= 0).
+  std::shared_ptr<const Compiled> hit;
+  if (core_.Find(key, /*count=*/true, &hit)) return hit;
   // Compile (and optimize) outside the lock: one slow compile must not
   // stall Opens of other queries (the overlap test pins this down).
   Result<PlanPtr> plan = CompileXmas(xmas_text);
@@ -92,25 +86,19 @@ Result<std::shared_ptr<const PlanCache::Compiled>> PlanCache::GetOrCompileEntry(
         if (ps.applied > 0) pass_applied_[ps.name] += ps.applied;
       }
     }
-    if (options_.capacity > 0 && index_.count(key) == 0) {
-      // First insert wins.
-      lru_.emplace_front(key, shared);
-      index_.emplace(key, lru_.begin());
-      while (static_cast<int64_t>(lru_.size()) > options_.capacity) {
-        index_.erase(lru_.back().first);
-        lru_.pop_back();
-      }
-    }
   }
+  // First insert wins.
+  core_.Insert(key, /*cost=*/1, {}, [&shared] { return shared; });
   return shared;
 }
 
 PlanCache::Stats PlanCache::stats() const {
+  const CacheStats core = core_.stats();
   std::lock_guard<std::mutex> lock(mu_);
   Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.entries = static_cast<int64_t>(lru_.size());
+  s.hits = core.hits;
+  s.misses = core.misses;
+  s.entries = core.entries;
   s.optimized = optimized_;
   s.rewrites = rewrites_;
   s.pass_applied = pass_applied_;

@@ -11,23 +11,22 @@
 // trivially reformatted copies of one query share an entry while queries
 // differing inside a string literal never do.
 //
-// Concurrency: lookups and inserts take a small mutex; compilation runs
-// OUTSIDE it, so one slow compile never stalls unrelated Opens. Concurrent
-// misses of the same text may compile twice — first insert wins, both get
-// equivalent plans. Failures are never cached (the error message should
-// come from a fresh compile, and a transiently broken query must not stick).
+// The plan tier of the cache core (core/bounded_cache.h). Compilation runs
+// OUTSIDE its mutex, so one slow compile never stalls unrelated Opens.
+// Concurrent misses of the same text may compile twice — first insert
+// wins, both get equivalent plans. Failures are never cached (the error
+// message should come from a fresh compile, and a transiently broken query
+// must not stick).
 #ifndef MIX_MEDIATOR_PLAN_CACHE_H_
 #define MIX_MEDIATOR_PLAN_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <utility>
 
+#include "core/bounded_cache.h"
 #include "core/status.h"
 #include "mediator/answer_view_cache.h"
 #include "mediator/passes/pass.h"
@@ -97,16 +96,10 @@ class PlanCache {
   Stats stats() const;
 
  private:
-  using LruList =
-      std::list<std::pair<std::string, std::shared_ptr<const Compiled>>>;
-
   Options options_;
   std::string fingerprint_;  ///< OptimizerFingerprint(options_.optimizer)
-  mutable std::mutex mu_;
-  LruList lru_;  ///< front = most recently used
-  std::unordered_map<std::string, LruList::iterator> index_;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
+  BoundedCache<std::shared_ptr<const Compiled>> core_;
+  mutable std::mutex mu_;  ///< guards the compile counters below
   int64_t optimized_ = 0;
   int64_t rewrites_ = 0;
   std::map<std::string, int64_t> pass_applied_;

@@ -86,10 +86,12 @@ mediator::PlanCache::Options PlanCacheOptions(
 MediatorService::MediatorService(const SessionEnvironment* env, Options options)
     : env_(env),
       options_(options),
-      source_cache_(buffer::SourceCache::Options{options.source_cache_bytes}),
+      source_cache_(buffer::SourceCache::Options{options.source_cache_bytes},
+                    &generations_),
       plan_cache_(PlanCacheOptions(*env, options)),
-      answer_view_cache_(mediator::AnswerViewCache::Options{
-          options.answer_view_cache_bytes}),
+      answer_view_cache_(
+          mediator::AnswerViewCache::Options{options.answer_view_cache_bytes},
+          &generations_),
       registry_(env,
                 SessionRegistry::Options{
                     options.max_sessions, options.session_idle_ttl_ns,
@@ -97,7 +99,8 @@ MediatorService::MediatorService(const SessionEnvironment* env, Options options)
                     options.source_cache_bytes > 0 ? &source_cache_ : nullptr,
                     &plan_cache_,
                     options.answer_view_cache_bytes > 0 ? &answer_view_cache_
-                                                        : nullptr}),
+                                                        : nullptr,
+                    &generations_}),
       executor_(Executor::Options{options.workers, options.queue_capacity}) {
   uint64_t key = kWrapperKeyBase;
   for (const auto& [uri, wrapper] : env_->exported()) {
@@ -296,11 +299,11 @@ Frame MediatorService::Execute(
   // exchange succeeded end-to-end; Publish itself re-rejects truncated or
   // degraded entries, so a partial snapshot can never enter the cache.
   if (source.ok() && response.type == MsgType::kSubtree &&
-      request.number < 0 && session->CanPublishView() &&
+      request.number < 0 && session->donation().has_value() &&
       request.node == session->document()->Root()) {
-    answer_view_cache_.Publish(session->publish_shape(), response.entries,
-                               session->publish_generations());
-    session->MarkViewPublished();
+    answer_view_cache_.Publish(*session->donation(), response.entries,
+                               session->pins());
+    session->donation().reset();
   }
   session->metrics().requests += 1;
   if (response.type == MsgType::kError) session->metrics().errors += 1;

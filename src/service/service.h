@@ -112,9 +112,6 @@ class MediatorService : public wire::FrameTransport {
   /// disabled caches report zero traffic).
   buffer::SourceCache& source_cache() { return source_cache_; }
 
-  /// The answer-view cache (valid whether or not it is enabled).
-  mediator::AnswerViewCache& answer_view_cache() { return answer_view_cache_; }
-
   /// The compiled-plan cache (valid whether or not it is enabled).
   mediator::PlanCache& plan_cache() { return plan_cache_; }
 
@@ -129,14 +126,12 @@ class MediatorService : public wire::FrameTransport {
   }
 
   /// Declares `source` (an environment source name) changed: bumps its
-  /// cache generation so sessions opened from now on re-fetch from the
-  /// live wrapper, and drops every cached answer view derived from it.
-  /// In-flight sessions keep their pinned generation — the same
-  /// per-session consistency the E9 freshness semantics define.
-  void InvalidateSource(const std::string& source) {
-    source_cache_.BumpGeneration(source);
-    answer_view_cache_.InvalidateSource(source);
-  }
+  /// generation in the one registry every cache tier follows, so sessions
+  /// opened from now on re-fetch from the live wrapper and no cached
+  /// answer view derived from the old generation serves them. In-flight
+  /// sessions keep their pinned generation — the same per-session
+  /// consistency the E9 freshness semantics define.
+  void InvalidateSource(const std::string& source) { generations_.Bump(source); }
 
  private:
   /// CallAsync and CallInline; `run_here` allows the inline path.
@@ -167,7 +162,9 @@ class MediatorService : public wire::FrameTransport {
   /// Declared before registry_: sessions hold a pointer to these counters,
   /// so they must outlive every session the registry can destroy.
   net::FaultCounters fault_counters_;
-  /// Also before registry_ (session buffers point into the caches).
+  /// Also before registry_ (session buffers point into the caches, session
+  /// pins into the generation registry, which the caches follow).
+  GenerationRegistry generations_;
   buffer::SourceCache source_cache_;
   mediator::PlanCache plan_cache_;
   /// Before registry_: view-served sessions hold snapshot shared_ptrs, but

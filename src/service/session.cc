@@ -92,12 +92,14 @@ void SessionEnvironment::ExportWrapper(std::string uri,
 Result<std::shared_ptr<Session>> Session::Build(
     uint64_t id, const SessionEnvironment& env,
     std::shared_ptr<const mediator::PlanNode> plan,
-    net::FaultCounters* fault_counters, buffer::SourceCache* source_cache,
+    GenerationRegistry::Pins pins, net::FaultCounters* fault_counters,
+    buffer::SourceCache* source_cache,
     std::shared_ptr<const mediator::AnswerSnapshot> view_snapshot) {
   // shared_ptr with private constructor: build through a local subclass.
   struct MakeShared : Session {};
   std::shared_ptr<Session> session = std::make_shared<MakeShared>();
   session->id_ = id;
+  session->pins_ = std::move(pins);
   session->plan_ = std::move(plan);
 
   if (view_snapshot != nullptr) {
@@ -155,10 +157,14 @@ Result<std::shared_ptr<Session>> Session::Build(
     auto override_it = uri_overrides.find(w.name);
     bool overridden = override_it != uri_overrides.end();
     const std::string& uri = overridden ? override_it->second : w.uri;
-    if (source_cache != nullptr && w.options.cache_fills && !overridden) {
-      // Pin the source's generation now: the session keeps one consistent
-      // snapshot even if the source is invalidated mid-dialogue (E9
-      // freshness is per-session, exactly as without the cache).
+    const GenerationRegistry::Pin* pin =
+        GenerationRegistry::Find(session->pins_, w.name);
+    if (source_cache != nullptr && w.options.cache_fills && !overridden &&
+        pin != nullptr) {
+      // The buffer reads and publishes under the session's pin: it keeps
+      // one consistent snapshot even if the source is invalidated
+      // mid-dialogue (E9 freshness is per-session, exactly as without the
+      // cache).
       //
       // Overridden views bypass the shared cache entirely: their hole ids
       // ("q:<n>:<row>") denote different fragments per view URI, and
@@ -168,7 +174,7 @@ Result<std::shared_ptr<Session>> Session::Build(
       // data anyway.
       opts.source_cache = source_cache;
       opts.cache_source = w.name;
-      opts.cache_generation = source_cache->Generation(w.name);
+      opts.cache_generation = pin->stamp.generation;
     }
     opts.max_in_flight = w.options.max_in_flight;
     ++source_index;
@@ -299,6 +305,13 @@ Result<uint64_t> SessionRegistry::Open(const std::string& xmas_text,
   std::shared_ptr<const mediator::PlanNode> plan = compiled.value()->plan;
   const int64_t plan_rewrites = compiled.value()->report.total();
   mediator::ViewShape view_shape = compiled.value()->view_shape;
+  // The session's one pin set, taken before the view match and the build:
+  // its buffers read and publish, and its answer is donated, under the
+  // same generations, so a bump racing this Open can never label an old
+  // answer current.
+  std::vector<std::string> pinned = view_shape.sources;
+  for (const auto& w : env_->wrappers()) pinned.push_back(w.name);
+  GenerationRegistry::Pins pins = options_.generations->PinSources(pinned);
   // view_match: test the descriptor for subsumption against the cached
   // answer views; on a hit the session is built over the snapshot instead
   // of live wrappers.
@@ -313,18 +326,14 @@ Result<uint64_t> SessionRegistry::Open(const std::string& xmas_text,
     }
   }
   Result<std::shared_ptr<Session>> session =
-      Session::Build(id, *env_, std::move(plan), options_.fault_counters,
-                     options_.source_cache, snapshot);
+      Session::Build(id, *env_, std::move(plan), std::move(pins),
+                     options_.fault_counters, options_.source_cache, snapshot);
   if (!session.ok()) return session.status();
   session.value()->metrics().plan_rewrites = plan_rewrites;
   if (snapshot == nullptr && options_.answer_view_cache != nullptr &&
       options_.answer_view_cache->enabled() && view_shape.valid) {
-    // This session may later donate its answer: pin the answer-view
-    // generations of its sources now, mirroring the source-cache pin.
-    std::map<std::string, int64_t> pins =
-        options_.answer_view_cache->PinGenerations(view_shape.sources);
-    session.value()->SetPublishableShape(std::move(view_shape),
-                                         std::move(pins));
+    // This session may later donate its answer, under its pins.
+    session.value()->donation() = std::move(view_shape);
   }
   int64_t now = NowNs();
   session.value()->Touch(now);

@@ -31,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -165,9 +166,9 @@ class Session {
   /// `fault_counters` (optional) aggregates every source buffer's fault/
   /// retry/degradation counts service-wide. `plan` is the compiled query —
   /// shared and immutable, typically from a PlanCache; the session keeps a
-  /// reference for its lifetime. `source_cache` (optional) is the shared
-  /// fragment cache every cache_fills source consults; each source's
-  /// generation is pinned here, at build time.
+  /// reference for its lifetime. `pins`: the generations it reads and
+  /// publishes under, taken once at open. `source_cache` (optional) is the
+  /// shared fragment cache every cache_fills source consults.
   /// `view_snapshot` (optional) marks an answer-view-served session: `plan`
   /// is then the rewritten serving plan over the snapshot, which is pinned
   /// for the session's lifetime and registered under
@@ -177,6 +178,7 @@ class Session {
   static Result<std::shared_ptr<Session>> Build(
       uint64_t id, const SessionEnvironment& env,
       std::shared_ptr<const mediator::PlanNode> plan,
+      GenerationRegistry::Pins pins,
       net::FaultCounters* fault_counters = nullptr,
       buffer::SourceCache* source_cache = nullptr,
       std::shared_ptr<const mediator::AnswerSnapshot> view_snapshot = nullptr);
@@ -238,34 +240,19 @@ class Session {
 
   // --- answer-view cache plumbing (service/service.cc) ---
 
-  /// True when this session is served from a cached answer snapshot.
-  bool served_from_view() const { return view_snapshot_ != nullptr; }
-
-  /// Records the descriptor (and the answer-view generations pinned at
-  /// open) under which this session's answer may later be published.
-  void SetPublishableShape(mediator::ViewShape shape,
-                           std::map<std::string, int64_t> generations) {
-    publish_shape_ = std::move(shape);
-    publish_generations_ = std::move(generations);
-  }
-
-  /// True when a full-depth root export of this session is publishable:
-  /// it has a valid descriptor, is not itself view-served (no derived
-  /// views of views), and has not published yet. Touched only under the
-  /// executor's per-session serialization.
-  bool CanPublishView() const {
-    return publish_shape_.valid && view_snapshot_ == nullptr && !published_;
-  }
-  void MarkViewPublished() { published_ = true; }
-  const mediator::ViewShape& publish_shape() const { return publish_shape_; }
-  const std::map<std::string, int64_t>& publish_generations() const {
-    return publish_generations_;
-  }
+  /// The descriptor under which a full-depth root export of this session
+  /// may be published, once, under pins(): set at open for a live session
+  /// (never a view-served one: no views of views) with a valid descriptor,
+  /// reset once published. Touched only under the executor's per-session
+  /// serialization.
+  std::optional<mediator::ViewShape>& donation() { return donation_; }
+  const GenerationRegistry::Pins& pins() const { return pins_; }
 
  private:
   Session() = default;
 
   uint64_t id_ = 0;
+  GenerationRegistry::Pins pins_;
   // Order matters for destruction: the mediator navigates buffers, buffers
   // call wrappers and charge channels; members are destroyed bottom-up.
   std::vector<std::unique_ptr<net::SimClock>> clocks_;
@@ -283,9 +270,7 @@ class Session {
   SessionMetrics metrics_;
   std::string open_token_;
   std::atomic<int64_t> last_active_ns_{0};
-  mediator::ViewShape publish_shape_;
-  std::map<std::string, int64_t> publish_generations_;
-  bool published_ = false;
+  std::optional<mediator::ViewShape> donation_;
   /// Every node id a response of this session has handed out (the client's
   /// working set — bounded by what it actually navigated).
   std::unordered_set<NodeId, NodeIdHash> issued_nodes_;
@@ -313,6 +298,9 @@ class SessionRegistry {
     /// (nullptr or disabled: every Open builds a live session). Used
     /// OUTSIDE the registry lock, like the other caches.
     mediator::AnswerViewCache* answer_view_cache = nullptr;
+    /// The registry every Open pins its sources in, once, before the view
+    /// match and the build (required).
+    GenerationRegistry* generations = nullptr;
   };
 
   SessionRegistry(const SessionEnvironment* env, Options options)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -199,16 +200,26 @@ ViewShape HandShape(const std::string& key,
   return s;
 }
 
+/// Pins of `cache`'s registry at the given generations.
+GenerationRegistry::Pins PinsAt(AnswerViewCache* cache,
+                                const std::map<std::string, int64_t>& at) {
+  GenerationRegistry::Pins pins;
+  for (const auto& [source, generation] : at) {
+    pins.push_back(cache->generations().PinSource(source, generation));
+  }
+  return pins;
+}
+
 TEST(AnswerViewCacheTest, DegradedAndTruncatedExportsAreNeverPublished) {
   AnswerViewCache cache(AnswerViewCache::Options{1 << 20});
 
-  cache.Publish(HandShape("k1"), Export("answer[a,#unavailable]"), {{"homesSrc", 0}});
+  cache.Publish(HandShape("k1"), Export("answer[a,#unavailable]"), PinsAt(&cache, {{"homesSrc", 0}}));
   std::vector<SubtreeEntry> cut = Export("answer[a,b]");
   cut[1].truncated = true;
-  cache.Publish(HandShape("k2"), cut, {{"homesSrc", 0}});
+  cache.Publish(HandShape("k2"), cut, PinsAt(&cache, {{"homesSrc", 0}}));
   std::vector<SubtreeEntry> malformed = Export("answer[a,b]");
   malformed[2].depth = 5;  // depth can grow by at most 1 per entry
-  cache.Publish(HandShape("k3"), malformed, {{"homesSrc", 0}});
+  cache.Publish(HandShape("k3"), malformed, PinsAt(&cache, {{"homesSrc", 0}}));
 
   AnswerViewCache::Stats s = cache.stats();
   EXPECT_EQ(s.publishes, 0);
@@ -227,7 +238,7 @@ TEST(AnswerViewCacheTest, LruEvictsUnderByteBudgetAndMatchReplays) {
     one += static_cast<int64_t>(e.label.name().size()) + kViewNodeOverheadBytes;
   }
   AnswerViewCache cache(AnswerViewCache::Options{one + one / 2});
-  cache.Publish(HandShape("k1"), a, {{"homesSrc", 0}});
+  cache.Publish(HandShape("k1"), a, PinsAt(&cache, {{"homesSrc", 0}}));
   EXPECT_EQ(cache.stats().entries, 1);
 
   AnswerViewCache::Match m = cache.TryMatch(HandShape("k1"));
@@ -236,7 +247,7 @@ TEST(AnswerViewCacheTest, LruEvictsUnderByteBudgetAndMatchReplays) {
   EXPECT_EQ(testing::MaterializeToTerm(m.snapshot->nav.get()),
             "answer[aaaa,bbbb]");
 
-  cache.Publish(HandShape("k2"), Export("answer[cccc,dddd]"), {{"homesSrc", 0}});
+  cache.Publish(HandShape("k2"), Export("answer[cccc,dddd]"), PinsAt(&cache, {{"homesSrc", 0}}));
   AnswerViewCache::Stats s = cache.stats();
   EXPECT_EQ(s.evictions, 1);
   EXPECT_EQ(s.entries, 1);
@@ -251,9 +262,9 @@ TEST(AnswerViewCacheTest, LruEvictsUnderByteBudgetAndMatchReplays) {
 TEST(AnswerViewCacheTest, InvalidateSourceDropsDependentsAndStalePins) {
   AnswerViewCache cache(AnswerViewCache::Options{1 << 20});
   cache.Publish(HandShape("homes", {"homesSrc"}), Export("answer[a]"),
-                {{"homesSrc", 0}});
+                PinsAt(&cache, {{"homesSrc", 0}}));
   cache.Publish(HandShape("schools", {"schoolsSrc"}), Export("answer[b]"),
-                {{"schoolsSrc", 0}});
+                PinsAt(&cache, {{"schoolsSrc", 0}}));
   EXPECT_EQ(cache.stats().entries, 2);
 
   cache.InvalidateSource("homesSrc");
@@ -266,18 +277,18 @@ TEST(AnswerViewCacheTest, InvalidateSourceDropsDependentsAndStalePins) {
 
   // A donor that pinned the pre-bump generation publishes into the void.
   cache.Publish(HandShape("homes", {"homesSrc"}), Export("answer[a]"),
-                {{"homesSrc", 0}});
+                PinsAt(&cache, {{"homesSrc", 0}}));
   EXPECT_EQ(cache.stats().rejects["stale"], 1);
   // Pinning afresh picks up the bumped generation and publishes cleanly.
   cache.Publish(HandShape("homes", {"homesSrc"}), Export("answer[a]"),
-                cache.PinGenerations({"homesSrc"}));
+                cache.generations().PinSources({"homesSrc"}));
   EXPECT_EQ(cache.stats().entries, 2);
 }
 
 TEST(AnswerViewCacheTest, DisabledCacheIsInert) {
   AnswerViewCache cache(AnswerViewCache::Options{0});
   EXPECT_FALSE(cache.enabled());
-  cache.Publish(HandShape("k"), Export("answer[a]"), {{"homesSrc", 0}});
+  cache.Publish(HandShape("k"), Export("answer[a]"), PinsAt(&cache, {{"homesSrc", 0}}));
   EXPECT_EQ(cache.TryMatch(HandShape("k")).snapshot, nullptr);
   AnswerViewCache::Stats s = cache.stats();
   EXPECT_EQ(s.publishes, 0);
@@ -526,6 +537,75 @@ TEST(AnswerViewServiceTest, DegradedSessionNeverPublishes) {
   EXPECT_EQ(MaterializeFramed(served.get()), expected);
   ASSERT_TRUE(served->Close().ok());
   EXPECT_EQ(service.Metrics().view_hits, 1);
+}
+
+TEST(AnswerViewServiceTest, InvalidationDuringOpenNeverPublishesOldAnswer) {
+  // A session pins its sources once, before its build: its buffers read,
+  // and its answer is donated, under the same generations. Here homes
+  // changes and is invalidated in the middle of a session's build (the
+  // schools factory runs after the homes buffer exists), while homes'
+  // fragments from generation 0 are still cached. That session reads the
+  // old homes and its answer must not be published as current: a session
+  // opened after the invalidation returned gets the new answer.
+  auto homes_v1 = testing::Doc(kHomes);
+  auto homes_v2 = testing::Doc("homes[home[addr[La Jolla],zip[91223]]]");
+  auto schools = testing::Doc(kSchools);
+  std::atomic<xml::Document*> homes{homes_v1.get()};
+  std::atomic<MediatorService*> service_ptr{nullptr};
+  std::atomic<int> schools_built{0};
+  SessionEnvironment env;
+  env.RegisterWrapperFactory(
+      "homesSrc",
+      [&homes] {
+        return std::make_unique<wrappers::XmlLxpWrapper>(homes.load());
+      },
+      "homes.xml");
+  env.RegisterWrapperFactory(
+      "schoolsSrc",
+      [&] {
+        if (schools_built.fetch_add(1) == 1) {
+          homes.store(homes_v2.get());
+          service_ptr.load()->InvalidateSource("homesSrc");
+        }
+        return std::make_unique<wrappers::XmlLxpWrapper>(schools.get());
+      },
+      "schools.xml");
+  MediatorService::Options options = ViewOptions(1 << 20);
+  options.source_cache_bytes = 1 << 20;
+  MediatorService service(&env, options);
+  service_ptr.store(&service);
+
+  auto reference = [&](const xml::Document* homes_doc) {
+    xml::DocNavigable homes_nav(homes_doc);
+    xml::DocNavigable schools_nav(schools.get());
+    SourceRegistry sources;
+    sources.Register("homesSrc", &homes_nav);
+    sources.Register("schoolsSrc", &schools_nav);
+    auto plan = CompileXmas(kFig3).ValueOrDie();
+    auto med = LazyMediator::Build(*plan, sources).ValueOrDie();
+    return testing::MaterializeToTerm(med->document());
+  };
+  const std::string old_answer = reference(homes_v1.get());
+  const std::string new_answer = reference(homes_v2.get());
+  ASSERT_NE(old_answer, new_answer);
+
+  // Warm homes' fragments, then drop the view (and only schools' cache).
+  auto warm = client::FramedDocument::Open(&service, kFig3).ValueOrDie();
+  EXPECT_EQ(MaterializeFramed(warm.get()), old_answer);
+  ASSERT_TRUE(warm->Close().ok());
+  service.InvalidateSource("schoolsSrc");
+  ASSERT_EQ(service.Metrics().view_entries, 0);
+
+  // Homes changes during this session's build.
+  auto racing = client::FramedDocument::Open(&service, kFig3).ValueOrDie();
+  EXPECT_EQ(MaterializeFramed(racing.get()), old_answer);
+  ASSERT_TRUE(racing->Close().ok());
+  ASSERT_EQ(schools_built.load(), 2);
+
+  auto after = client::FramedDocument::Open(&service, kFig3).ValueOrDie();
+  EXPECT_EQ(MaterializeFramed(after.get()), new_answer);
+  ASSERT_TRUE(after->Close().ok());
+  EXPECT_EQ(service.Metrics().view_hits, 0);
 }
 
 }  // namespace

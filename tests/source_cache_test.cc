@@ -15,6 +15,7 @@
 #include "buffer/buffer.h"
 #include "buffer/lxp.h"
 #include "buffer/source_cache.h"
+#include "core/bounded_cache.h"
 #include "mediator/plan_cache.h"
 #include "test_util.h"
 #include "wrappers/xml_lxp_wrapper.h"
@@ -594,6 +595,62 @@ TEST(SourceCacheTest, ConcurrentAdmissionAndStaleEvictionKeepTheAccount) {
     }
   }
   EXPECT_EQ(reachable, stats.entries);
+}
+
+// ---------------------------------------------------------------------------
+// The cache core every tier is built on.
+// ---------------------------------------------------------------------------
+
+TEST(CacheCoreTest, RefusedInsertNeverBuildsItsValue) {
+  GenerationRegistry generations;
+  BoundedCache<int> cache(/*budget=*/2, Admission::kFrequency, &generations);
+  const GenerationRegistry::Pin pin = generations.PinSource("s", 0);
+  int made = 0;
+  auto make = [&made] { return ++made; };
+  auto insert = [&](const std::string& key, int64_t cost) {
+    return cache.Insert(key, cost, {&pin.stamp, 1}, make);
+  };
+  using Outcome = BoundedCache<int>::Outcome;
+  EXPECT_EQ(insert("a", 1), Outcome::kInserted);
+  EXPECT_EQ(insert("b", 1), Outcome::kInserted);
+  EXPECT_EQ(insert("a", 1), Outcome::kDuplicate);
+  EXPECT_EQ(insert("c", 3), Outcome::kOverBudget);
+  // "c" is not looked up more often than the LRU tail "a": it loses.
+  EXPECT_EQ(insert("c", 1), Outcome::kRejected);
+  generations.Bump("s");
+  EXPECT_EQ(insert("d", 1), Outcome::kStale);
+  EXPECT_EQ(made, 2);
+  EXPECT_EQ(cache.stats().rejects, 3);
+}
+
+TEST(CacheCoreTest, BumpKeepsPinnedGenerationsAndDropsTheRest) {
+  // One registry, two tiers: a bump applies the same rule to both.
+  GenerationRegistry generations;
+  BoundedCache<int> fragments(/*budget=*/8, Admission::kFrequency,
+                              &generations);
+  BoundedCache<int> views(/*budget=*/8, Admission::kLru, &generations);
+  auto held = std::make_unique<GenerationRegistry::Pins>(
+      generations.PinSources({"held", "free"}));
+  const GenerationRegistry::Stamp stamps[] = {(*held)[0].stamp,
+                                              (*held)[1].stamp};
+  for (BoundedCache<int>* cache : {&fragments, &views}) {
+    cache->Insert("held", 1, {&stamps[0], 1}, [] { return 1; });
+    cache->Insert("free", 1, {&stamps[1], 1}, [] { return 2; });
+  }
+  // Only the held generation stays pinned through the bumps.
+  GenerationRegistry::Pin keep = generations.PinSource("held", 0);
+  held.reset();
+  generations.Bump("held");
+  generations.Bump("free");
+  for (BoundedCache<int>* cache : {&fragments, &views}) {
+    int value = 0;
+    EXPECT_TRUE(cache->Find("held", /*count=*/true, &value));
+    EXPECT_EQ(value, 1);
+    EXPECT_FALSE(cache->Find("free", /*count=*/true, &value));
+    EXPECT_EQ(cache->stats().entries, 1);
+    EXPECT_EQ(cache->stats().evictions, 1);
+  }
+  EXPECT_EQ(generations.bumps(), 2);
 }
 
 }  // namespace
