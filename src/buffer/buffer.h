@@ -104,9 +104,9 @@ class BufferComponent : public Navigable {
     SourceCache* source_cache = nullptr;
     /// Cache key namespace — the service environment's source name.
     std::string cache_source;
-    /// Generation pinned at session build: entries of other generations
-    /// are unreachable, preserving the E9 freshness/churn semantics
-    /// (SourceCache::BumpGeneration invalidates without scrubbing).
+    /// Generation the session pinned at open: entries of other generations
+    /// are unreachable, preserving the E9 freshness/churn semantics; the
+    /// buffer holds the pin, so a bump keeps this generation's entries.
     int64_t cache_generation = 0;
 
     /// Readahead window W (see the file comment): keep up to W fill
