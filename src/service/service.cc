@@ -73,6 +73,25 @@ mediator::passes::OptimizerOptions BuildOptimizerOptions(
   return opts;
 }
 
+/// The d/r response: up to `chunk` nodes (at least one) of the sibling list
+/// starting at `at`, each with its label, built with r and f only — a chunk
+/// never descends. `flag` is set when the list ends after the last node
+/// shipped, so the r on that node is already answered; it costs one r the
+/// client's next continuation would have asked for anyway.
+Frame SiblingChunk(Navigable* doc, std::optional<NodeId> at, int64_t chunk) {
+  Frame f;
+  f.type = MsgType::kNodeList;
+  const size_t limit = static_cast<size_t>(std::clamp<int64_t>(
+      chunk, 1, static_cast<int64_t>(wire::kMaxListLength)));
+  while (at.has_value() && f.nodes.size() < limit) {
+    f.strings.push_back(doc->Fetch(*at));
+    f.nodes.push_back(*std::move(at));
+    at = doc->Right(f.nodes.back());
+  }
+  f.flag = !at.has_value();
+  return f;
+}
+
 mediator::PlanCache::Options PlanCacheOptions(
     const SessionEnvironment& env, const MediatorService::Options& options) {
   mediator::PlanCache::Options o;
@@ -371,10 +390,10 @@ Frame MediatorService::ExecuteNavigation(const Frame& request,
       f = Frame::OptionalNode(doc->Root());
       break;
     case MsgType::kDown:
-      f = Frame::OptionalNode(doc->Down(request.node));
+      f = SiblingChunk(doc, doc->Down(request.node), request.number);
       break;
     case MsgType::kRight:
-      f = Frame::OptionalNode(doc->Right(request.node));
+      f = SiblingChunk(doc, doc->Right(request.node), request.number);
       break;
     case MsgType::kFetch:
       f.type = MsgType::kLabel;

@@ -9,8 +9,9 @@ namespace {
 constexpr uint8_t kMagic0 = 'M';
 constexpr uint8_t kMagic1 = 'X';
 // Version 2 retired the single-hole fill pair (types 13 and 72) and the
-// payload's fragment list that only they used.
-constexpr uint8_t kVersion = 2;
+// payload's fragment list that only they used. Version 3 answers kDown and
+// kRight with a sibling chunk (kNodeList with labels) instead of kNode.
+constexpr uint8_t kVersion = 3;
 constexpr size_t kHeaderBytes = 8;  // len(4) + magic(2) + version(1) + type(1)
 constexpr uint8_t kRetiredLxpFill = 13;
 constexpr uint8_t kRetiredLxpFillResp = 72;

@@ -6,7 +6,9 @@
 // command (d/r/f/σ, NthChild, and the vectored DownAll/NextSiblings/
 // FetchSubtree forms) and both LXP commands (get_root, and fill as
 // fill_many: a single-hole fill is a one-hole list) is one length-prefixed
-// frame, answered by one response frame.
+// frame, answered by one response frame. d and r answer with a chunk of
+// siblings and their labels (paper Section 4), so a client can serve the
+// f and r that follow on those nodes without a frame of their own.
 //
 // Because node-ids are self-describing Skolem terms (node_id.h), they
 // serialize structurally and the server needs *no* per-client pointer table:
@@ -45,8 +47,8 @@ enum class MsgType : uint8_t {
   kOpen = 1,          ///< text = XMAS query; response kOpenOk.
   kClose = 2,         ///< close `session`; response kCloseOk.
   kRoot = 3,          ///< response kNode (always present).
-  kDown = 4,          ///< node = p; response kNode.
-  kRight = 5,         ///< node = p; response kNode.
+  kDown = 4,          ///< node = p, number = chunk; response kNodeList.
+  kRight = 5,         ///< node = p, number = chunk; response kNodeList.
   kFetch = 6,         ///< node = p; response kLabel.
   kSelectSibling = 7, ///< node = p, text2 = equality label; response kNode.
   kNthChild = 8,      ///< node = p, number = index; response kNode.
@@ -65,7 +67,10 @@ enum class MsgType : uint8_t {
   kCloseOk = 66,
   kNode = 67,         ///< flag = present, node = id when present.
   kLabel = 68,        ///< text = label.
-  kNodeList = 69,     ///< nodes.
+  kNodeList = 69,     ///< nodes; for kDown/kRight (a sibling chunk: up
+                      ///< to `number`, at least one, of the list starting
+                      ///< at d(p) or r(p)) also strings = their labels and
+                      ///< flag = the list ends after the last node.
   kSubtree = 70,      ///< entries.
   kLxpRoot = 71,      ///< text = root hole id.
   kLxpFills = 73,     ///< hole_fills.
