@@ -1,5 +1,7 @@
 #include "buffer/lxp.h"
 
+#include <charconv>
+
 #include <deque>
 #include <utility>
 
@@ -95,13 +97,31 @@ Status LxpWrapper::TryGetRoot(const std::string& uri, std::string* out) {
   return Status::OK();
 }
 
+bool ParseHoleIndex(std::string_view text, int64_t* out) {
+  if (text.empty()) return false;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && text.front() != '-';
+}
+
+Status LxpWrapper::CheckHole(const std::string& hole_id) const {
+  (void)hole_id;
+  return Status::OK();
+}
+
 Status LxpWrapper::TryFill(const std::string& hole_id, FragmentList* out) {
+  Status checked = CheckHole(hole_id);
+  if (!checked.ok()) return checked;
   *out = Fill(hole_id);
   return Status::OK();
 }
 
 Status LxpWrapper::TryFillMany(const std::vector<std::string>& holes,
                                const FillBudget& budget, HoleFillList* out) {
+  for (const std::string& hole : holes) {
+    Status checked = CheckHole(hole);
+    if (!checked.ok()) return checked;
+  }
   *out = FillMany(holes, budget);
   return Status::OK();
 }

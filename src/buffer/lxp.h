@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/source_capability.h"
@@ -90,6 +91,10 @@ struct FillBudget {
   int64_t fills = -1;
 };
 
+/// Parses a hole id's numeric field: a non-empty run of decimal digits that
+/// fits an int64_t, nothing else. The wrappers' CheckHole overrides use it.
+bool ParseHoleIndex(std::string_view text, int64_t* out);
+
 /// The capability a wrapper advertises to the plan optimizer, under the
 /// name wrappers override `Capability()` with.
 using PushdownCapability = SourceCapability;
@@ -138,6 +143,9 @@ class LxpWrapper {
   /// aborting. The defaults delegate to the legacy methods and always
   /// succeed, so existing in-process wrappers need no changes. TryFill is
   /// the single-hole convenience for wrappers that forward to one another.
+  /// The defaults first check every requested hole with CheckHole, so a
+  /// peer's id that the wrapper never issued comes back as
+  /// kInvalidArgument instead of reaching Fill's invariant checks.
   virtual Status TryGetRoot(const std::string& uri, std::string* out);
   virtual Status TryFill(const std::string& hole_id, FragmentList* out);
   virtual Status TryFillMany(const std::vector<std::string>& holes,
@@ -163,6 +171,12 @@ class LxpWrapper {
       const std::vector<std::string>& holes, const FillBudget& budget);
 
  protected:
+  /// OK when `hole_id` is one this wrapper could have issued, i.e. Fill
+  /// may be called with it; kInvalidArgument otherwise. The default
+  /// accepts every id (scripted wrappers and decorators check nothing of
+  /// their own).
+  virtual Status CheckHole(const std::string& hole_id) const;
+
   /// Budgeted chasing loop shared by the concrete wrappers: serves each
   /// requested hole via Fill(), then keeps filling top-level holes
   /// introduced by its own responses (FIFO) while the budget allows.

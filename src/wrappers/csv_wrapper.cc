@@ -112,9 +112,21 @@ Fragment CsvLxpWrapper::RowFragment(size_t row) const {
   return f;
 }
 
+Status CsvLxpWrapper::CheckHole(const std::string& hole_id) const {
+  if (hole_id == "c:root") return Status::OK();
+  int64_t from = 0;
+  if (hole_id.rfind("c:", 0) != 0 ||
+      !buffer::ParseHoleIndex(std::string_view(hole_id).substr(2), &from) ||
+      from > static_cast<int64_t>(table_->rows.size())) {
+    return Status::InvalidArgument("CsvLxpWrapper issued no hole id '" +
+                                   hole_id + "'");
+  }
+  return Status::OK();
+}
+
 FragmentList CsvLxpWrapper::Fill(const std::string& hole_id) {
   ++fills_served_;
-  MIX_CHECK_MSG(hole_id.rfind("c:", 0) == 0,
+  MIX_CHECK_MSG(CheckHole(hole_id).ok(),
                 "foreign hole id passed to CsvLxpWrapper");
   if (hole_id == "c:root") {
     Fragment root = Fragment::Element("csv");
@@ -125,7 +137,6 @@ FragmentList CsvLxpWrapper::Fill(const std::string& hole_id) {
   }
   size_t from = static_cast<size_t>(std::strtoll(hole_id.c_str() + 2,
                                                  nullptr, 10));
-  MIX_CHECK(from <= table_->rows.size());
   size_t to = std::min(table_->rows.size(),
                        from + static_cast<size_t>(EffectiveChunk()));
   FragmentList out;

@@ -53,6 +53,7 @@ class CsvLxpWrapper : public buffer::LxpWrapper {
   int64_t fills_served() const { return fills_served_; }
 
  protected:
+  Status CheckHole(const std::string& hole_id) const override;
   /// Adaptive fill sizing from the shared chase loop: full scans serve
   /// max(chunk, hint) rows per fill.
   void SetFillSizeHint(int64_t elements) override {

@@ -159,22 +159,49 @@ FragmentList RelationalLxpWrapper::FillQuery(int64_t query_id, int64_t from_row,
   return out;
 }
 
+Status RelationalLxpWrapper::CheckHole(const std::string& hole_id) const {
+  if (hole_id == "dbroot") return Status::OK();
+  const std::string_view id(hole_id);
+  int64_t n = 0;
+  int64_t row = 0;
+  bool issued = false;
+  if (id.substr(0, 2) == "t:") {
+    const size_t colon = id.rfind(':');
+    const rdb::Table* table =
+        colon > 2 ? db_->GetTable(std::string(id.substr(2, colon - 2)))
+                  : nullptr;
+    issued = table != nullptr &&
+             buffer::ParseHoleIndex(id.substr(colon + 1), &row) &&
+             row <= table->row_count();
+  } else if (id.substr(0, 2) == "q:") {
+    const size_t colon = id.find(':', 2);
+    issued = colon != std::string_view::npos &&
+             buffer::ParseHoleIndex(id.substr(2, colon - 2), &n) &&
+             n < static_cast<int64_t>(queries_.size()) &&
+             (id.substr(colon + 1) == "root" ||
+              buffer::ParseHoleIndex(id.substr(colon + 1), &row));
+  }
+  if (!issued) {
+    return Status::InvalidArgument("RelationalLxpWrapper issued no hole id '" +
+                                   hole_id + "'");
+  }
+  return Status::OK();
+}
+
 FragmentList RelationalLxpWrapper::Fill(const std::string& hole_id) {
   ++fills_served_;
+  MIX_CHECK_MSG(CheckHole(hole_id).ok(),
+                "foreign hole id passed to RelationalLxpWrapper");
   if (hole_id == "dbroot") return FillDatabase();
 
   if (hole_id.rfind("t:", 0) == 0) {
     size_t colon = hole_id.rfind(':');
-    MIX_CHECK(colon > 2);
     std::string table = hole_id.substr(2, colon - 2);
     int64_t from_row = std::strtoll(hole_id.c_str() + colon + 1, nullptr, 10);
     return FillTable(table, from_row);
   }
 
-  MIX_CHECK_MSG(hole_id.rfind("q:", 0) == 0,
-                "foreign hole id passed to RelationalLxpWrapper");
   size_t colon = hole_id.find(':', 2);
-  MIX_CHECK(colon != std::string::npos);
   int64_t query_id = std::strtoll(hole_id.c_str() + 2, nullptr, 10);
   std::string rest = hole_id.substr(colon + 1);
   if (rest == "root") return FillQuery(query_id, 0, /*root_fill=*/true);

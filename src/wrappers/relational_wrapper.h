@@ -66,6 +66,7 @@ class RelationalLxpWrapper : public buffer::LxpWrapper {
   int64_t rows_scanned() const { return rows_scanned_; }
 
  protected:
+  Status CheckHole(const std::string& hole_id) const override;
   /// Adaptive fill sizing from the shared chase loop: full scans serve
   /// max(chunk, hint) rows per fill, amortizing the per-fill cursor reopen.
   void SetFillSizeHint(int64_t elements) override {

@@ -1,7 +1,7 @@
 #include "wrappers/xml_lxp_wrapper.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <string_view>
 
 #include "core/check.h"
 
@@ -21,17 +21,17 @@ std::string HoleId(int64_t node_index, int64_t lo, int64_t hi) {
          std::to_string(hi);
 }
 
-void ParseHoleId(const std::string& id, int64_t* node_index, int64_t* lo,
+bool ParseHoleId(std::string_view id, int64_t* node_index, int64_t* lo,
                  int64_t* hi) {
-  MIX_CHECK_MSG(id.size() > 2 && id[0] == 'x' && id[1] == ':',
-                "foreign hole id passed to XmlLxpWrapper");
-  const char* p = id.c_str() + 2;
-  char* end = nullptr;
-  *node_index = std::strtoll(p, &end, 10);
-  MIX_CHECK(end != nullptr && *end == ':');
-  *lo = std::strtoll(end + 1, &end, 10);
-  MIX_CHECK(end != nullptr && *end == ':');
-  *hi = std::strtoll(end + 1, &end, 10);
+  if (id.substr(0, 2) != "x:") return false;
+  id.remove_prefix(2);
+  const size_t a = id.find(':');
+  if (a == std::string_view::npos) return false;
+  const size_t b = id.find(':', a + 1);
+  if (b == std::string_view::npos) return false;
+  return buffer::ParseHoleIndex(id.substr(0, a), node_index) &&
+         buffer::ParseHoleIndex(id.substr(a + 1, b - a - 1), lo) &&
+         buffer::ParseHoleIndex(id.substr(b + 1), hi);
 }
 
 }  // namespace
@@ -69,13 +69,13 @@ FragmentList XmlLxpWrapper::Fill(const std::string& hole_id) {
   if (hole_id == "xroot") {
     return {FragmentFor(doc_->root())};
   }
+  MIX_CHECK_MSG(CheckHole(hole_id).ok(),
+                "foreign hole id passed to XmlLxpWrapper");
   int64_t node_index = 0;
   int64_t lo = 0;
   int64_t hi = 0;
   ParseHoleId(hole_id, &node_index, &lo, &hi);
   const xml::Node* parent = doc_->NodeAt(node_index);
-  MIX_CHECK(lo >= 0 && lo <= hi &&
-            hi <= static_cast<int64_t>(parent->children.size()));
 
   int64_t take = std::min<int64_t>(EffectiveChunk(), hi - lo);
   FragmentList out;
@@ -100,6 +100,20 @@ FragmentList XmlLxpWrapper::Fill(const std::string& hole_id) {
     }
   }
   return out;
+}
+
+Status XmlLxpWrapper::CheckHole(const std::string& hole_id) const {
+  if (hole_id == "xroot") return Status::OK();
+  int64_t node_index = 0;
+  int64_t lo = 0;
+  int64_t hi = 0;
+  if (!ParseHoleId(hole_id, &node_index, &lo, &hi) ||
+      node_index >= doc_->node_count() || lo > hi ||
+      hi > static_cast<int64_t>(doc_->NodeAt(node_index)->children.size())) {
+    return Status::InvalidArgument("XmlLxpWrapper issued no hole id '" +
+                                   hole_id + "'");
+  }
+  return Status::OK();
 }
 
 HoleFillList XmlLxpWrapper::FillMany(const std::vector<std::string>& holes,

@@ -58,6 +58,7 @@ class XmlLxpWrapper : public buffer::LxpWrapper {
   int64_t fills_served() const { return fills_served_; }
 
  protected:
+  Status CheckHole(const std::string& hole_id) const override;
   /// Adaptive fill sizing from the shared chase loop: long sibling scans
   /// serve max(chunk, hint) children per fill.
   void SetFillSizeHint(int64_t elements) override {
