@@ -223,6 +223,9 @@ class RoutedSessionTransport : public service::wire::FrameTransport {
 
   Result<std::string> RoundTrip(const std::string& request_bytes) override;
 
+  /// Provenance steps stored over every bound session (one per link).
+  size_t provenance_steps() const;
+
  private:
   /// One recorded navigation edge: the command that produced a node from
   /// its base node (`index` selects within a kNodeList response).
@@ -233,16 +236,24 @@ class RoutedSessionTransport : public service::wire::FrameTransport {
     size_t index = 0;
   };
 
+  /// How a node id was derived: `step` applied to `base` (an invalid base
+  /// marks the document root, derived by kRoot).
+  struct Link {
+    NodeId base;
+    Step step;
+  };
+
   struct Binding {
     size_t backend;
     uint64_t backend_session;
     service::wire::Frame open_frame;  ///< replayable (token included)
-    /// Provenance of every node id this session ever returned: the full
-    /// command path from the document root. Node-id values are private to
-    /// the backend session that minted them, so this — not the id bytes —
-    /// is what survives a failover. Grows with the client's working set of
-    /// distinct nodes (one short vector per id).
-    std::unordered_map<NodeId, std::vector<Step>, NodeIdHash> paths;
+    /// Provenance of every node id this session ever returned, as a parent
+    /// link: the base id and the one step from it. Node-id values are
+    /// private to the backend session that minted them, so these links —
+    /// not the id bytes — are what survives a failover. One step per
+    /// distinct id, so paging k siblings stores k steps, not a copied path
+    /// per id.
+    std::unordered_map<NodeId, Link, NodeIdHash> links;
     /// Client-held id -> equivalent id on the CURRENT backend session.
     /// Identity entries for ids minted this epoch; cleared on every
     /// re-open (same-backend revival or cross-backend rebind), then
@@ -251,9 +262,10 @@ class RoutedSessionTransport : public service::wire::FrameTransport {
   };
 
   service::wire::FrameTransport* Conn(size_t backend);
-  /// Re-derives a node on the binding's current session by replaying its
-  /// recorded path from kRoot.
-  Result<NodeId> DeriveByPath(Binding& bind, const std::vector<Step>& path);
+  /// Re-derives `id` on the binding's current session: follows its links
+  /// up to the nearest id already translated this epoch (or the root) and
+  /// replays the steps down from there, memoizing each id it passes.
+  Result<NodeId> DeriveByPath(Binding& bind, const NodeId& id);
   /// Maps a client-held id to the current epoch: memoized remap hit, else
   /// lazy path replay, else (untracked id) pass-through.
   Result<NodeId> TranslateNode(Binding& bind, const NodeId& id);

@@ -357,6 +357,89 @@ TEST(SessionRouterTest, FailoverMidNavigationIsByteIdenticalAcrossBackends) {
   EXPECT_EQ(router.health().state(home), BackendState::kEjected);
 }
 
+TEST(SessionRouterTest, PagedSiblingsStoreLinearProvenanceAndReplayAfterFailover) {
+  // One list of 2,400 leaves, served by two backends.
+  constexpr int kItems = 2400;
+  std::string term = "list[";
+  for (int i = 0; i < kItems; ++i) {
+    term += (i > 0 ? ",i" : "i") + std::to_string(i);
+  }
+  term += "]";
+  auto list = testing::Doc(term);
+  std::vector<std::unique_ptr<SessionEnvironment>> envs;
+  std::vector<std::unique_ptr<MediatorService>> services;
+  std::vector<std::unique_ptr<std::atomic<bool>>> dead;
+  std::vector<SessionRouter::Backend> backends;
+  for (size_t b = 0; b < 2; ++b) {
+    envs.push_back(std::make_unique<SessionEnvironment>());
+    envs.back()->RegisterWrapperFactory(
+        "src",
+        [&list] {
+          return std::make_unique<wrappers::XmlLxpWrapper>(list.get());
+        },
+        "list.xml");
+    services.push_back(std::make_unique<MediatorService>(
+        envs.back().get(), MediatorService::Options()));
+    dead.push_back(std::make_unique<std::atomic<bool>>(false));
+    backends.push_back(SessionRouter::Backend{
+        "b" + std::to_string(b), [&services, &dead, b] {
+          return std::make_unique<KillableBackend>(services[b].get(),
+                                                   dead[b].get());
+        }});
+  }
+  SessionRouter::Options opts;
+  opts.health.failure_threshold = 1;
+  opts.health.probe_interval_ns = int64_t{3600} * 1'000'000'000;  // no probes
+  SessionRouter router(std::move(backends), opts);
+  RoutedSessionTransport transport(&router);
+  auto doc = FramedDocument::Open(
+                 &transport,
+                 "CONSTRUCT <answer> $X {$X} </answer> {} WHERE src list._ $X")
+                 .ValueOrDie();
+
+  // Page the whole list with f and r; the ids come in sibling chunks.
+  std::vector<NodeId> ids;
+  std::optional<NodeId> at = doc->Down(doc->Root());
+  size_t steps_at_half = 0;
+  while (at.has_value()) {
+    EXPECT_EQ(doc->Fetch(*at), "i" + std::to_string(ids.size()));
+    ids.push_back(*at);
+    if (ids.size() == kItems / 2) steps_at_half = transport.provenance_steps();
+    at = doc->Right(*at);
+  }
+  ASSERT_EQ(ids.size(), static_cast<size_t>(kItems));
+  ASSERT_TRUE(doc->last_status().ok());
+  // One parent link per id, the root's included: halfway through, the
+  // router holds the first half and at most the rest of the open chunk.
+  // Copied paths would store one step per chunk before each id, ~45,000
+  // steps here.
+  const size_t steps = transport.provenance_steps();
+  EXPECT_EQ(steps, static_cast<size_t>(kItems) + 1);
+  EXPECT_GE(steps_at_half, static_cast<size_t>(kItems) / 2 + 1);
+  EXPECT_LE(steps_at_half, static_cast<size_t>(kItems / 2 + 1 +
+                                               FramedDocument::kMaxChunk));
+
+  // Kill the session's backend; a chunk-derived id from deep in the list
+  // replays on the survivor and answers as before.
+  size_t home = router.stats().sessions_per_backend[0] == 1 ? 0 : 1;
+  dead[home]->store(true);
+  const size_t deep = 1500;
+  EXPECT_EQ(doc->Fetch(ids[deep]), "i" + std::to_string(deep));
+  EXPECT_TRUE(doc->last_status().ok()) << doc->last_status().ToString();
+  FleetStats after = router.stats();
+  EXPECT_EQ(after.failovers, 1);
+  EXPECT_GE(after.path_replays, 1);
+  // Paging on from the replayed id renders the rest of the list unchanged.
+  at = doc->Right(ids[deep]);
+  for (size_t i = deep + 1; i < ids.size(); ++i) {
+    ASSERT_TRUE(at.has_value()) << i;
+    EXPECT_EQ(doc->Fetch(*at), "i" + std::to_string(i));
+    at = doc->Right(*at);
+  }
+  EXPECT_FALSE(at.has_value());
+  EXPECT_TRUE(doc->last_status().ok()) << doc->last_status().ToString();
+}
+
 TEST(SessionRouterTest, AllBackendsDownShedsThenProbeRecovers) {
   FleetFixture fx(2);
   SessionRouter::Options opts;
