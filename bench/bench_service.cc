@@ -11,7 +11,8 @@
 //     ONE session (a serial lane): the excess is refused with kUnavailable
 //     error frames while every admitted request completes (`ok` +
 //     `rejected` = burst, `dropped` = 0).
-//   * BM_WireCodec — encode+decode cost of a representative node frame.
+//   * BM_WireCodec — encode+decode cost of a d request and its sibling
+//     chunk response.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -248,21 +249,31 @@ void BM_ServiceOverload(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceOverload)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// Encode+decode round trip of a kDown frame carrying a nested Skolem id —
-/// the per-command codec tax of going framed.
+/// Encode+decode round trip of a kDown request carrying a nested Skolem id
+/// and of its two-node sibling chunk (ids with labels) — the per-exchange
+/// codec tax of going framed.
 void BM_WireCodec(benchmark::State& state) {
-  service::wire::Frame frame;
-  frame.type = service::wire::MsgType::kDown;
-  frame.session = 7;
-  frame.node = NodeId(
+  const NodeId id(
       "b", {int64_t{12}, std::string("H"),
             NodeId("src", {int64_t{3}, NodeId("x", {int64_t{44}})})});
+  service::wire::Frame request;
+  request.type = service::wire::MsgType::kDown;
+  request.session = 7;
+  request.node = id;
+  request.number = 2;
+  service::wire::Frame chunk;
+  chunk.type = service::wire::MsgType::kNodeList;
+  chunk.session = 7;
+  chunk.nodes = {id, id};
+  chunk.strings = {"med_home", "med_home"};
   int64_t bytes = 0;
   for (auto _ : state) {
-    std::string encoded = service::wire::EncodeFrame(frame);
-    auto decoded = service::wire::DecodeFrame(encoded);
-    benchmark::DoNotOptimize(decoded);
-    bytes += static_cast<int64_t>(encoded.size());
+    for (const service::wire::Frame* frame : {&request, &chunk}) {
+      std::string encoded = service::wire::EncodeFrame(*frame);
+      auto decoded = service::wire::DecodeFrame(encoded);
+      benchmark::DoNotOptimize(decoded);
+      bytes += static_cast<int64_t>(encoded.size());
+    }
   }
   state.SetBytesProcessed(bytes);
 }
