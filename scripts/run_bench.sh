@@ -76,8 +76,8 @@
 #
 # The e2e suite is the end-to-end benchmark (bench_e2e/run.py, the
 # workloads of BENCHMARK.json), not a google-benchmark binary: it runs every
-# workload over seeds 1-5 (10 s each) plus traced scan_churn runs, and
-# writes min/median per metric and the host to BENCH_e2e.json via
+# workload over seeds 1-5 (10 s each) plus traced scan_churn and browse
+# runs, and writes min/median per metric and the host to BENCH_e2e.json via
 # scripts/bench_e2e.py, replacing the whole file. Rows of the current tree
 # are labeled `change`; E2E_PARENT=<checkout of the parent commit> adds
 # `parent` rows, run alternately with it. Each checkout builds its own tree
@@ -120,7 +120,7 @@ for name in "${SUITES[@]}"; do
     revs=(--rev change=.)
     if [ -n "${E2E_PARENT:-}" ]; then revs+=(--rev "parent=$E2E_PARENT"); fi
     python3 scripts/bench_e2e.py --out BENCH_e2e.json "${revs[@]}" \
-      --traced scan_churn
+      --traced scan_churn,browse
     continue
   fi
   bin="$BUILD/bench/bench_$name"
